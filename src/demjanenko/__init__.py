@@ -48,11 +48,11 @@ from .singular import (
     indicator_eta,
     indicator_zeta,
     k_set,
-    k_set_oracle,
     m_value,
     verify_bsum_identities,
     verify_character_identities,
 )
+from .verify import k_set_oracle
 
 __version__ = "0.1.0"
 

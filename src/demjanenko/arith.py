@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoPrimitiveRoot, NotPrime, NotUnit, RangeExceeded
+from .errors import KOutOfRange, NoPrimitiveRoot, NotPrime, NotUnit, RangeExceeded
 
 MACHINE_LIMIT = 1 << 63
 
@@ -168,16 +168,26 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out.items()))
 
 
-def make_context(ell: int) -> PrimeContext:
-    """Build the PrimeContext for an odd prime ell."""
-    if ell < 3 or not probable_prime(ell):
-        raise NotPrime(f"{ell} is not an odd prime")
-    factors = factorize(ell - 1)
+def context_from_factors(ell: int, factors) -> PrimeContext:
+    """The PrimeContext of ell from a known factorization of ell-1."""
     fd = dict(factors)
     alpha = fd.get(2, 0)
     beta = fd.get(3, 0)
     m = (ell - 1) // (2**alpha * 3**beta)
     return PrimeContext(ell=ell, alpha=alpha, beta=beta, m=m, factors=factors)
+
+
+def make_context(ell: int) -> PrimeContext:
+    """Build the PrimeContext for an odd prime ell."""
+    if ell < 3 or not probable_prime(ell):
+        raise NotPrime(f"{ell} is not an odd prime")
+    return context_from_factors(ell, factorize(ell - 1))
+
+
+def check_k(ctx: PrimeContext, k: int) -> None:
+    """Reject k outside [1, ell-2]."""
+    if not 1 <= k <= ctx.ell - 2:
+        raise KOutOfRange(f"k={k} outside [1, {ctx.ell - 2}]")
 
 
 def canonical_rep(j: int, ell: int) -> int:

@@ -9,7 +9,7 @@ import sys
 import click
 
 from . import arith, cyclotomic, matrix as matrix_mod, search, singular, verify
-from .errors import DemjanenkoError
+from .errors import BoundViolation, DemjanenkoError
 
 TABLE1_EXPECTED = {3: 31, 4: 3121, 5: 127681, 6: 25858561}
 _TABLE1_LIMITS = {3: 10_000, 4: 10_000, 5: 200_000, 6: 26_000_000}
@@ -17,18 +17,6 @@ _TABLE1_LIMITS = {3: 10_000, 4: 10_000, 5: 200_000, 6: 26_000_000}
 _format_option = click.option(
     "--format", "fmt", type=click.Choice(["plain", "json", "csv"]), default="plain"
 )
-
-
-def _fail_usage(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
-
-
-def _context_or_exit(ell: int) -> arith.PrimeContext:
-    try:
-        return arith.make_context(ell)
-    except DemjanenkoError as exc:
-        _fail_usage(str(exc))
 
 
 def _census_csv_row(rep: singular.KSetReport) -> str:
@@ -42,7 +30,23 @@ def _census_csv_row(rep: singular.KSetReport) -> str:
 _CENSUS_CSV_HEADER = "ell,alpha,beta,m,count,main_term,bound,within"
 
 
-@click.group()
+class _Main(click.Group):
+    """The one error boundary of the CLI: a bound violation is a failed
+    verification (exit 1); any other library error or bad value is a
+    usage error (exit 2). Neither prints a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BoundViolation as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(1)
+        except (DemjanenkoError, ValueError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(2)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact computations around the singularity of Demjanenko matrices."""
 
@@ -52,7 +56,7 @@ def main():
 @_format_option
 def kset(ell, fmt):
     """Singular-set report for one prime."""
-    ctx = _context_or_exit(ell)
+    ctx = arith.make_context(ell)
     rep = singular.k_set(ctx)
     if fmt == "json":
         click.echo(json.dumps(rep.to_json()))
@@ -78,7 +82,7 @@ def kset(ell, fmt):
 def census(max_ell, workers, checkpoint, fmt):
     """Reports for every odd prime up to the limit."""
     if max_ell < 3:
-        _fail_usage("--max-ell must be at least 3")
+        raise ValueError("--max-ell must be at least 3")
     cfg = search.SearchConfig(
         max_ell=max_ell, workers=workers, checkpoint_path=checkpoint
     )
@@ -100,13 +104,9 @@ def census(max_ell, workers, checkpoint, fmt):
 @click.option("--k", type=int, required=True)
 def matrix_cmd(ell, k):
     """Dump the sign matrix as a +/- grid."""
-    ctx = _context_or_exit(ell)
-    try:
-        hps = matrix_mod.half_plane_set(ctx, k)
-        stab = matrix_mod.stabilizer(hps)
-        dm = matrix_mod.build_matrix(ctx, k)
-    except DemjanenkoError as exc:
-        _fail_usage(str(exc))
+    ctx = arith.make_context(ell)
+    stab = matrix_mod.stabilizer(matrix_mod.half_plane_set(ctx, k))
+    dm = matrix_mod.build_matrix(ctx, k)
     click.echo(matrix_mod.dump_matrix(dm, len(stab.elements)))
 
 
@@ -116,12 +116,8 @@ def matrix_cmd(ell, k):
 @_format_option
 def rank(ell, k, fmt):
     """Exact rational rank of one matrix."""
-    ctx = _context_or_exit(ell)
-    try:
-        dm = matrix_mod.build_matrix(ctx, k)
-        r = matrix_mod.exact_rank(dm)
-    except DemjanenkoError as exc:
-        _fail_usage(str(exc))
+    dm = matrix_mod.build_matrix(arith.make_context(ell), k)
+    r = matrix_mod.exact_rank(dm)
     singular_flag = r < dm.dimension
     if fmt == "json":
         click.echo(
@@ -207,10 +203,7 @@ def search_712():
 @_format_option
 def lset(a, b, d, e, fmt):
     """Cyclotomic resultant record and its prime divisors."""
-    try:
-        rec = cyclotomic.l_set(a, b, d, e)
-    except (DemjanenkoError, ValueError) as exc:
-        _fail_usage(str(exc))
+    rec = cyclotomic.l_set(a, b, d, e)
     if fmt == "json":
         click.echo(json.dumps(rec.to_json()))
     else:
@@ -227,11 +220,7 @@ def lset(a, b, d, e, fmt):
 @click.option("--budget", type=int, default=search.DEFAULT_LBM_BUDGET)
 def lbm(beta, m, alpha_max, budget):
     """Scan the family 2^alpha 3^beta m + 1 for non-empty singular sets."""
-    try:
-        rows = search.lbm_scan(beta, m, alpha_max, budget=budget)
-    except ValueError as exc:
-        _fail_usage(str(exc))
-    for row in rows:
+    for row in search.lbm_scan(beta, m, alpha_max, budget=budget):
         status = "SKIPPED" if row.skipped else ("in_L=true" if row.in_l else "in_L=false")
         click.echo(f"alpha={row.alpha} ell={row.ell} {status}")
 
@@ -241,7 +230,7 @@ def lbm(beta, m, alpha_max, budget):
 @_format_option
 def mstats(ell, fmt):
     """lcm statistic M(k) over the singular set of one prime."""
-    ctx = _context_or_exit(ell)
+    ctx = arith.make_context(ell)
     rep = singular.k_set(ctx)
     stats = [singular.m_value(ctx, k) for k in rep.members]
     if fmt == "json":
@@ -268,7 +257,7 @@ def mstats(ell, fmt):
 def density(x, fmt):
     """Empirical census of empty-set primes up to x."""
     if x < 2:
-        _fail_usage("--x must be at least 2")
+        raise ValueError("--x must be at least 2")
     rep = search.density_census(x)
     if fmt == "json":
         click.echo(json.dumps(rep.to_json()))

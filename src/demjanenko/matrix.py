@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import PrimeContext, probable_prime
-from .errors import DimensionTooLarge, KOutOfRange, NonIntegerRank
+from .arith import PrimeContext, check_k, probable_prime
+from .errors import DimensionTooLarge, NonIntegerRank
 
 DEFAULT_RANK_CAP = 600
 _RANK_CAP_ENV = "DEMJANENKO_EXACT_RANK_CAP"
@@ -54,13 +54,8 @@ class DemjanenkoMatrix:
         return len(self.reps)
 
 
-def _check_k(ctx: PrimeContext, k: int) -> None:
-    if not 1 <= k <= ctx.ell - 2:
-        raise KOutOfRange(f"k={k} outside [1, {ctx.ell - 2}]")
-
-
 def half_plane_set(ctx: PrimeContext, k: int) -> HalfPlaneSet:
-    _check_k(ctx, k)
+    check_k(ctx, k)
     ell = ctx.ell
     j = np.arange(1, ell, dtype=np.int64)
     members = j[(k * j % ell) + j < ell]
@@ -102,7 +97,7 @@ def coset_reps(hps: HalfPlaneSet, stab: Stabilizer) -> tuple[int, ...]:
 def build_matrix(ctx: PrimeContext, k: int) -> DemjanenkoMatrix:
     """Sign matrix over coset representatives c, a: +1 iff -c^{-1}a is
     outside the half-plane set."""
-    _check_k(ctx, k)
+    check_k(ctx, k)
     ell = ctx.ell
     hps = half_plane_set(ctx, k)
     stab = stabilizer(hps)
@@ -209,23 +204,20 @@ def _certified_rank(signs: np.ndarray) -> int:
 def exact_rank(dm: DemjanenkoMatrix, cap: int | None = None) -> int:
     """Rank of the matrix over the rationals, exact.
 
-    Fast path: if the matrix is full-rank modulo any of three fixed
-    30-bit primes it is certified nonsingular. Otherwise falls back to
-    the certified multi-modular elimination.
+    One certified multi-modular pass: a full-rank matrix exits on the
+    first modulus that shows full rank (usually the first one), and a
+    singular one takes every modulus the Hadamard bound asks for.
     """
     n = dm.dimension
     limit = cap if cap is not None else _rank_cap()
     if n > limit:
         raise DimensionTooLarge(f"dimension {n} exceeds exact-rank cap {limit}")
-    for p in _mod_primes(3):
-        if rank_mod(dm.signs, p) == n:
-            return n
     return _certified_rank(dm.signs)
 
 
 def rank_formula_value(ctx: PrimeContext, k: int, M: int) -> int:
     """(ell-1)/2 * (1 - 2/M) as an exact integer."""
-    _check_k(ctx, k)
+    check_k(ctx, k)
     num = (ctx.ell - 1) * (M - 2)
     den = 2 * M
     if num % den:

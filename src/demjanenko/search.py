@@ -1,10 +1,9 @@
 """Range scans and targeted prime searches.
 
 The expensive primitive is deciding whether the singular set of a prime
-is empty. Small moduli use the vectorized full scan; large moduli walk
-the odd-order subgroup, which contains every possible singular k, so
-exhausting it certifies emptiness and the first hit certifies
-non-emptiness.
+is empty. It is decided one way at every ell: walk the odd-order
+subgroup, which contains every possible singular k, so exhausting it
+certifies emptiness and the first hit certifies non-emptiness.
 """
 
 from __future__ import annotations
@@ -17,11 +16,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import PrimeContext, factorize, make_context, probable_prime
-from .errors import BoundViolation
+from .arith import context_from_factors, factorize, make_context, primitive_root, probable_prime
+from .errors import BoundViolation, NotPrime
 from .singular import KSetReport, k_set
 
-_VECTOR_SCAN_LIMIT = 1 << 20
 DEFAULT_LBM_BUDGET = 1 << 40
 
 
@@ -29,12 +27,11 @@ DEFAULT_LBM_BUDGET = 1 << 40
 class SearchConfig:
     max_ell: int
     workers: int = 1
-    exact_rank_cap: int = 600
     checkpoint_path: str | None = None
 
     def __post_init__(self):
-        if self.workers < 1 or self.max_ell < 1 or self.exact_rank_cap < 1:
-            raise ValueError("workers and caps must be positive")
+        if self.workers < 1 or self.max_ell < 1:
+            raise ValueError("workers and max_ell must be positive")
 
 
 @dataclass(frozen=True)
@@ -89,14 +86,6 @@ def sieve_primes(n: int) -> np.ndarray:
 # Emptiness of the singular set
 
 
-def _primitive_root_from_factors(ell: int, factors) -> int:
-    exps = [(ell - 1) // p for p, _ in factors]
-    for g in range(2, ell):
-        if all(pow(g, e, ell) != 1 for e in exps):
-            return g
-    raise AssertionError(f"no primitive root mod {ell}")
-
-
 def k_witness(ell: int, factors=None) -> int | None:
     """Some k in the singular set of ell, or None (certified empty).
 
@@ -104,17 +93,17 @@ def k_witness(ell: int, factors=None) -> int | None:
     singular k has odd order divisible by 3, so it lies on the walk;
     the two remaining conditions cost one modular power each.
     """
+    if not probable_prime(ell):
+        raise NotPrime(f"{ell} is not prime")
     if factors is None:
         factors = factorize(ell - 1)
-    fd = dict(factors)
-    alpha = fd.get(2, 0)
-    beta = fd.get(3, 0)
+    ctx = context_from_factors(ell, factors)
+    alpha, beta = ctx.alpha, ctx.beta
     if beta == 0:
         return None
     n = ell - 1
     n0 = n >> alpha          # odd part, order of the walk subgroup
-    g = _primitive_root_from_factors(ell, factors)
-    h = pow(g, 1 << alpha, ell)
+    h = pow(primitive_root(ctx), 1 << alpha, ell)
     k = 1
     for t in range(1, n0):
         k = k * h % ell
@@ -136,13 +125,7 @@ def k_witness(ell: int, factors=None) -> int | None:
 
 
 def k_set_is_empty(ell: int, factors=None) -> bool:
-    if factors is None:
-        factors = factorize(ell - 1)
-    if dict(factors).get(3, 0) == 0:
-        return True
-    if ell <= _VECTOR_SCAN_LIMIT:
-        ctx = make_context(ell)
-        return k_set(ctx).count == 0
+    """True iff the singular set of ell is empty, certified by k_witness."""
     return k_witness(ell, factors) is None
 
 

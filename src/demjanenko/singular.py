@@ -19,12 +19,12 @@ import numpy as np
 from .arith import (
     OrderProfile,
     PrimeContext,
+    check_k,
     index_table,
     mult_order,
     primitive_root,
 )
-from .errors import BetaZero, CapExceeded, HOutOfRange, KOutOfRange, NotUnit
-from .matrix import build_matrix, exact_rank
+from .errors import BetaZero, CapExceeded, HOutOfRange
 
 
 @dataclass(frozen=True)
@@ -81,14 +81,9 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _check_k(ctx: PrimeContext, k: int) -> None:
-    if not 1 <= k <= ctx.ell - 2:
-        raise KOutOfRange(f"k={k} outside [1, {ctx.ell - 2}]")
-
-
 def criterion(ctx: PrimeContext, k: int) -> CriterionEvidence:
     """Evaluate the three order conditions for a single k."""
-    _check_k(ctx, k)
+    check_k(ctx, k)
     ell = ctx.ell
     pos = k * (k + 1) % ell
     ord_k = mult_order(k, ctx)
@@ -175,19 +170,9 @@ def k_set(ctx: PrimeContext, scan_cap: int = 1 << 26) -> KSetReport:
     )
 
 
-def k_set_oracle(ctx: PrimeContext, cap: int | None = None) -> list[int]:
-    """Independent route: k is in the set iff the matrix rank is deficient."""
-    out = []
-    for k in range(1, ctx.ell - 1):
-        dm = build_matrix(ctx, k)
-        if exact_rank(dm, cap=cap) < dm.dimension:
-            out.append(k)
-    return out
-
-
 def m_value(ctx: PrimeContext, k: int) -> MStat:
     """lcm of the orders of -k^2-k and k."""
-    _check_k(ctx, k)
+    check_k(ctx, k)
     ell = ctx.ell
     neg = (-(k * k + k)) % ell
     a = mult_order(neg, ctx).order
@@ -376,7 +361,7 @@ class BSumReport:
         return all(self.checks.values())
 
 
-def verify_bsum_identities(ctx: PrimeContext, fast: bool = False) -> BSumReport:
+def verify_bsum_identities(ctx: PrimeContext) -> BSumReport:
     """Exact checks tying the expansion to the singular count.
 
     The closed form recorded for the k = -1 term fails for alpha >= 2:
@@ -386,18 +371,10 @@ def verify_bsum_identities(ctx: PrimeContext, fast: bool = False) -> BSumReport:
     if ctx.beta == 0:
         raise BetaZero("identities degenerate for beta = 0")
     ell = ctx.ell
-    if fast:
-        ind = index_table(ctx)
-        k, c1, c2, c3 = _condition_masks(ctx, ind)
-        star = c2 & c3
-        sum_b = Fraction(int(star.sum()))
-        kstar_count = int(star.sum())
-        k_count = int((c1 & star).sum())
-    else:
-        sum_b = sum((b_value(ctx, k) for k in range(1, ell - 1)), Fraction(0))
-        evidence = [criterion(ctx, k) for k in range(1, ell - 1)]
-        kstar_count = sum(1 for e in evidence if e.cond_ii and e.cond_iii)
-        k_count = sum(1 for e in evidence if e.in_k_set)
+    sum_b = sum((b_value(ctx, k) for k in range(1, ell - 1)), Fraction(0))
+    evidence = [criterion(ctx, k) for k in range(1, ell - 1)]
+    kstar_count = sum(1 for e in evidence if e.cond_ii and e.cond_iii)
+    k_count = sum(1 for e in evidence if e.in_k_set)
     a0c = a0_closed_form(ctx)
     a0s = a0_double_sum(ctx)
     b0 = b_value(ctx, 0)

@@ -8,15 +8,25 @@ from __future__ import annotations
 
 from multiprocessing import Pool
 
-from .arith import make_context
+from .arith import PrimeContext, make_context
 from .errors import NonIntegerRank
 from .matrix import build_matrix, exact_rank, rank_formula_value
 from .search import SearchConfig, census, sieve_primes
-from .singular import k_set, k_set_oracle, m_value, verify_bsum_identities, verify_character_identities
+from .singular import k_set, m_value, verify_bsum_identities, verify_character_identities
 
 
 def _odd_primes(max_ell: int) -> list[int]:
     return [int(p) for p in sieve_primes(max_ell) if p >= 3]
+
+
+def k_set_oracle(ctx: PrimeContext, cap: int | None = None) -> list[int]:
+    """Independent route: k is in the set iff the matrix rank is deficient."""
+    out = []
+    for k in range(1, ctx.ell - 1):
+        dm = build_matrix(ctx, k)
+        if exact_rank(dm, cap=cap) < dm.dimension:
+            out.append(k)
+    return out
 
 
 def _oracle_one(ell: int) -> list[str]:

@@ -11,9 +11,9 @@ import time
 
 import pytest
 
+from demjanenko import verify
 from demjanenko.arith import make_context
 from demjanenko.cyclotomic import l_set
-from demjanenko.matrix import build_matrix, exact_rank
 from demjanenko.search import (
     SearchConfig,
     census,
@@ -22,13 +22,7 @@ from demjanenko.search import (
     lbm_scan,
     sieve_primes,
 )
-from demjanenko.singular import (
-    k_set,
-    k_set_oracle,
-    m_value,
-    verify_bsum_identities,
-    verify_character_identities,
-)
+from demjanenko.singular import k_set
 
 
 def _report(num: int, label: str, ok: bool, detail: str = ""):
@@ -36,6 +30,10 @@ def _report(num: int, label: str, ok: bool, detail: str = ""):
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {num}: {status} - {label}{suffix}")
     assert ok, f"criterion {num}: {label}{suffix}"
+
+
+def _summary(failures: list[str]) -> str:
+    return "; ".join(failures[:4]) + (" ..." if len(failures) > 4 else "")
 
 
 def test_criterion_1_empty_k_primes():
@@ -67,14 +65,8 @@ def test_criterion_3_table1_s6():
 
 
 def test_criterion_4_oracle_equivalence():
-    bad = []
-    for ell in map(int, sieve_primes(200)):
-        if ell < 3:
-            continue
-        ctx = make_context(ell)
-        if list(k_set(ctx).members) != k_set_oracle(ctx):
-            bad.append(ell)
-    _report(4, "criterion matches matrix singularity for all primes <= 200", not bad, str(bad))
+    bad = verify.oracle_suite(200)
+    _report(4, "criterion matches matrix singularity for all primes <= 200", not bad, _summary(bad))
 
 
 def test_criterion_5_theorem1_bound():
@@ -94,18 +86,8 @@ def test_criterion_5_theorem1_bound():
 
 
 def test_criterion_6_rank_formula():
-    bad = []
-    for ell in map(int, sieve_primes(500)):
-        if ell < 3:
-            continue
-        ctx = make_context(ell)
-        for k in k_set(ctx).members:
-            dm = build_matrix(ctx, k)
-            M = m_value(ctx, k).M
-            expected = (ell - 1) * (M - 2) // (2 * M)
-            if (ell - 1) * (M - 2) % (2 * M) or exact_rank(dm) != expected:
-                bad.append((ell, k))
-    _report(6, "exact rank equals the lcm-defect formula, primes <= 500", not bad, str(bad))
+    bad = verify.rankformula_suite(500)
+    _report(6, "exact rank equals the lcm-defect formula, primes <= 500", not bad, _summary(bad))
 
 
 def test_criterion_7_resultant_lsets():
@@ -119,25 +101,9 @@ def test_criterion_7_resultant_lsets():
 
 
 def test_criterion_8_identity_suite():
-    failures = []
-    for ell in map(int, sieve_primes(200)):
-        if ell < 3:
-            continue
-        ctx = make_context(ell)
-        char = verify_character_identities(ctx, tolerance=1e-9)
-        if not char.ok:
-            failures.append(f"ell={ell}: character identities")
-        if ctx.beta >= 1:
-            rep = verify_bsum_identities(ctx)
-            for name, ok in rep.checks.items():
-                if not ok:
-                    failures.append(f"ell={ell}: {name}")
-    _report(
-        8,
-        "character and rational identity suite, primes <= 200",
-        not failures,
-        "; ".join(failures[:4]) + (" ..." if len(failures) > 4 else ""),
-    )
+    failures = verify.identities_suite(200)
+    _report(8, "character and rational identity suite, primes <= 200", not failures,
+            _summary(failures))
 
 
 def test_criterion_9_positivity_threshold():

@@ -55,9 +55,24 @@ def test_kset_rationals_never_floats():
     assert "/" in data["error_bound"] and "." not in data["error_bound"]
 
 
-def test_kset_usage_error_on_composite():
-    res = runner.invoke(main, ["kset", "--ell", "32"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["kset", "--ell", "32"], id="kset-composite"),
+        pytest.param(["kset", "--ell", "134217757"], id="kset-over-scan-cap"),
+        pytest.param(["census", "--max-ell", "50", "--workers", "0"], id="census-workers-0"),
+        pytest.param(
+            ["verify", "--mode", "theorem1", "--max-ell", "50", "--workers", "0"],
+            id="verify-workers-0",
+        ),
+    ],
+)
+def test_usage_error_exits_2(args):
+    res = runner.invoke(main, args)
     assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # caught, not escaped
+    assert res.output.startswith("error: ")
+    assert "Traceback" not in res.output
 
 
 def test_kset_missing_arg_is_usage_error():

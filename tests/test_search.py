@@ -4,6 +4,7 @@ import pytest
 import sympy
 
 from demjanenko.arith import make_context
+from demjanenko.errors import NotPrime
 from demjanenko.search import (
     SearchConfig,
     append_checkpoint,
@@ -38,19 +39,25 @@ def test_k_witness_agrees_with_full_scan(ell):
 
 
 def test_k_set_is_empty_routes_agree():
-    for ell in map(int, sieve_primes(400)):
+    # the subgroup walk against the full discrete-log scan
+    for ell in map(int, sieve_primes(20_000)):
         if ell < 3:
             continue
         ctx = make_context(ell)
         assert k_set_is_empty(ell) == (k_set(ctx).count == 0)
 
 
+def test_k_set_is_empty_rejects_composite():
+    # 25 - 1 = 2^3 * 3: without the primality check the walk would run
+    with pytest.raises(NotPrime):
+        k_set_is_empty(25)
+
+
 def test_k_set_is_empty_large_prime_uses_walk():
-    # above the vector-scan limit the subgroup walk decides
+    # a prime whose full scan would need gigabytes: only the walk decides it
     ell = 25858561
-    assert ell > 1 << 20
     assert k_set_is_empty(ell)
-    ell2 = 1048783  # prime, 1 mod 3, just above the limit
+    ell2 = 1048783  # prime, 1 mod 3
     assert sympy.isprime(ell2) and ell2 % 3 == 1
     ctx_small_check = k_witness(ell2)
     # whatever the walk says, the criterion on the witness must confirm it

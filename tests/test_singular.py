@@ -15,13 +15,13 @@ from demjanenko.singular import (
     indicator_eta,
     indicator_zeta,
     k_set,
-    k_set_oracle,
     m_value,
     main_term,
     sqrt_upper,
     verify_bsum_identities,
     verify_character_identities,
 )
+from demjanenko.verify import k_set_oracle
 
 
 def _valuation(n, p):
@@ -198,15 +198,6 @@ def test_bsum_identities(ell):
     else:
         assert not rep.checks["b_minus_one_closed_form"]
         assert rep.b_minus_one == 0
-
-
-def test_bsum_fast_path_agrees():
-    for ell in (31, 67, 103):
-        slow = verify_bsum_identities(make_context(ell))
-        fast = verify_bsum_identities(make_context(ell), fast=True)
-        assert slow.sum_b == fast.sum_b
-        assert slow.kstar_count == fast.kstar_count
-        assert slow.k_count == fast.k_count
 
 
 def test_bsum_requires_beta_positive():
