@@ -228,17 +228,12 @@ def primitive_root(ctx: PrimeContext) -> int:
     raise NoPrimitiveRoot(f"no generator mod {ell}")
 
 
-def index_table(ctx: PrimeContext, g: int | None = None) -> np.ndarray:
-    """Discrete logs to base g: table ind with g^ind[x] = x for x in [1, ell-1].
-
-    ind[0] is unused. Requires ell < 2^31 so products fit in int64.
-    """
-    ell = ctx.ell
+def _power_table(g: int, n: int, ell: int) -> np.ndarray:
+    """g^j mod ell for j in [0, n), by doubling: each pass multiplies the
+    filled prefix by the next power. Requires ell < 2^31 so products fit
+    in int64."""
     if ell >= 1 << 31:
-        raise RangeExceeded(f"index table needs ell < 2^31, got {ell}")
-    if g is None:
-        g = primitive_root(ctx)
-    n = ell - 1
+        raise RangeExceeded(f"power table needs ell < 2^31, got {ell}")
     powers = np.empty(n, dtype=np.int64)
     powers[0] = 1
     size = 1
@@ -247,7 +242,38 @@ def index_table(ctx: PrimeContext, g: int | None = None) -> np.ndarray:
         chunk = min(size, n - size)
         powers[size:size + chunk] = powers[:chunk] * step % ell
         size += chunk
+    return powers
+
+
+def index_table(ctx: PrimeContext, g: int | None = None) -> np.ndarray:
+    """Discrete logs to base g: table ind with g^ind[x] = x for x in [1, ell-1].
+
+    ind[0] is unused. Requires ell < 2^31 so products fit in int64.
+    """
+    ell = ctx.ell
+    if g is None:
+        g = primitive_root(ctx)
+    n = ell - 1
+    powers = _power_table(g, n, ell)
     ind = np.empty(ell, dtype=np.int64)
     ind[0] = -1
     ind[powers] = np.arange(n, dtype=np.int64)
     return ind
+
+
+def odd_subgroup_tables(ctx: PrimeContext) -> tuple[np.ndarray, np.ndarray]:
+    """Powers and logs over the subgroup of units of odd order.
+
+    With g the smallest primitive root, h = g^(2^alpha) generates the
+    n0 = (ell-1)/2^alpha units of odd order. Returns (powers, log):
+    powers[j] = h^j for j in [0, n0), and the int32 table log of size ell
+    with log[h^j] = j and log[x] = -1 for x = 0 and every x of even order.
+    Requires ell < 2^31.
+    """
+    ell = ctx.ell
+    n0 = (ell - 1) >> ctx.alpha
+    h = pow(primitive_root(ctx), 1 << ctx.alpha, ell)
+    powers = _power_table(h, n0, ell)
+    log = np.full(ell, -1, dtype=np.int32)
+    log[powers] = np.arange(n0, dtype=np.int32)
+    return powers, log

@@ -68,13 +68,24 @@ def _membership_mask(hps: HalfPlaneSet) -> np.ndarray:
     return mask
 
 
+def _cube_roots_of_unity(ell: int) -> list[int]:
+    """1 and, when 3 divides ell-1, the two roots of x^2+x+1 mod ell."""
+    if (ell - 1) % 3:
+        return [1]
+    e = (ell - 1) // 3
+    w = next(w for w in (pow(a, e, ell) for a in range(2, ell)) if w != 1)
+    return sorted((1, w, w * w % ell))
+
+
 def stabilizer(hps: HalfPlaneSet) -> Stabilizer:
-    """Exact setwise stabilizer, found by testing every unit."""
+    """Exact setwise stabilizer. It has size 1 or 3, so it lies in the
+    cube roots of unity; each of those is kept only if it maps the set
+    into itself."""
     ell = hps.ell
     in_m = _membership_mask(hps)
     members = np.array(hps.members, dtype=np.int64)
     elements = [
-        w for w in range(1, ell)
+        w for w in _cube_roots_of_unity(ell)
         if in_m[w * members % ell].all()
     ]
     return Stabilizer(ell=ell, k=hps.k, elements=tuple(elements))

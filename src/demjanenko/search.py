@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterator
@@ -159,7 +160,12 @@ def _census_chunk(primes: list[int]) -> list[KSetReport]:
 
 def census(cfg: SearchConfig) -> Iterator[KSetReport]:
     """One report per odd prime <= max_ell, ascending; raises loudly if
-    any count escapes the proven bound."""
+    any count escapes the proven bound.
+
+    Shards of 512 primes stream in order (ordered Pool.imap when
+    workers > 1), and each shard's checkpoint line is appended right
+    after its reports, so an interrupted run keeps every finished shard.
+    """
     primes = [int(p) for p in sieve_primes(cfg.max_ell) if p >= 3]
     shard = 512
     chunks = [primes[i:i + shard] for i in range(0, len(primes), shard)]
@@ -169,20 +175,21 @@ def census(cfg: SearchConfig) -> Iterator[KSetReport]:
         return (chunk[0], chunk[-1] + 1)
 
     todo = [c for c in chunks if bounds(c) not in done]
-    if cfg.workers > 1 and len(todo) > 1:
-        with Pool(cfg.workers) as pool:
-            results = pool.map(_census_chunk, todo)
-    else:
-        results = [_census_chunk(c) for c in todo]
-    for chunk, reports in zip(todo, results):
-        for rep in reports:
-            if not rep.within_bound:
-                raise BoundViolation(
-                    f"count {rep.count} escapes the bound at ell={rep.ctx.ell}"
-                )
-            yield rep
-        if cfg.checkpoint_path:
-            append_checkpoint(cfg.checkpoint_path, *bounds(chunk))
+    with ExitStack() as stack:
+        if cfg.workers > 1 and len(todo) > 1:
+            pool = stack.enter_context(Pool(cfg.workers))
+            results = pool.imap(_census_chunk, todo)
+        else:
+            results = map(_census_chunk, todo)
+        for chunk, reports in zip(todo, results):
+            for rep in reports:
+                if not rep.within_bound:
+                    raise BoundViolation(
+                        f"count {rep.count} escapes the bound at ell={rep.ctx.ell}"
+                    )
+                yield rep
+            if cfg.checkpoint_path:
+                append_checkpoint(cfg.checkpoint_path, *bounds(chunk))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Membership of k in the singular set is decided by three conditions on
 the multiplicative orders of k, -k^2-k and k^2+k. This module computes
-the set, its count against the asymptotic main term, the lcm statistic
-controlling the rank defect, and numerically verifies the character-sum
-identities behind the count.
+the set in one vectorized pass over the odd-order subgroup, its count
+against the asymptotic main term, the lcm statistic controlling the
+rank defect, and numerically verifies the character-sum identities
+behind the count.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .arith import (
     check_k,
     index_table,
     mult_order,
+    odd_subgroup_tables,
     primitive_root,
 )
 from .errors import BetaZero, CapExceeded, HOutOfRange
@@ -116,52 +118,45 @@ def error_bound(ctx: PrimeContext) -> Fraction:
     return 4 * ctx.beta**2 * sqrt_upper(ctx.ell) + Fraction(33, 16)
 
 
-def _nu3_capped(t: np.ndarray, beta: int) -> np.ndarray:
-    """Componentwise min(nu_3(t), beta); t == 0 maps to beta."""
-    v = np.zeros(t.shape, dtype=np.int64)
-    x = t.copy()
-    for _ in range(beta):
-        div = x % 3 == 0
-        v += div
-        x[div] //= 3
-    return v
-
-
-def _condition_masks(ctx: PrimeContext, ind: np.ndarray):
-    """Vectorized condition flags for all k in [1, ell-2]."""
-    ell, alpha, beta = ctx.ell, ctx.alpha, ctx.beta
-    n = ell - 1
-    k = np.arange(1, ell - 1, dtype=np.int64)
-    pos = k * (k + 1) % ell
-    t_k = ind[k]
-    t_pos = ind[pos]
-    t_neg = ind[ell - pos]
-    two = np.int64(1 << alpha)
-    cond_ii = (t_k % two == 0) & (t_neg % two == 0)
-    cond_iii = _nu3_capped(t_k, beta) < _nu3_capped(t_pos, beta)
-    if n % 3 == 0:
-        cond_i = np.gcd(t_k, n) != n // 3  # order 3 <=> gcd(t, n) = n/3
-    else:
-        cond_i = np.ones(k.shape, dtype=bool)
-    return k, cond_i, cond_ii, cond_iii
+def _nu3_table(n: int, beta: int) -> np.ndarray:
+    """int8 table of min(nu_3(j), beta) for j in [0, n); j = 0 maps to beta."""
+    v3 = np.zeros(n, dtype=np.int8)
+    for e in range(1, beta + 1):
+        v3[:: 3**e] += 1
+    return v3
 
 
 def k_set(ctx: PrimeContext, scan_cap: int = 1 << 26) -> KSetReport:
     """All k in [1, ell-2] passing the criterion, with the count report.
 
-    Uses a discrete-log table so the whole scan is a handful of
-    vectorized passes; agrees with criterion() for every k.
+    One vectorized pass over the odd-order subgroup, k = h^j with h of
+    order n0 = (ell-1)/2^alpha: every singular k has odd order, so it
+    lies there. With the subgroup log L (-1 off the subgroup), the
+    conditions read (i) j not in {n0/3, 2n0/3}, (ii) L[-k^2-k] >= 0 and
+    (iii) min(nu_3(j), beta) < min(nu_3(L[-k^2-k]), beta), because
+    nu_3(ord h^j) = beta - min(nu_3(j), beta) and -1, of order 2, leaves
+    the 3-part of an order alone. Agrees with criterion() for every k.
     """
     if ctx.beta == 0:
         members: tuple[int, ...] = ()
     else:
-        if ctx.ell > scan_cap:
-            raise CapExceeded(
-                f"full scan of ell={ctx.ell} exceeds cap {scan_cap}"
-            )
-        ind = index_table(ctx)
-        k, c1, c2, c3 = _condition_masks(ctx, ind)
-        members = tuple(int(x) for x in k[c1 & c2 & c3])
+        ell = ctx.ell
+        if ell > scan_cap:
+            raise CapExceeded(f"k_set scan of ell={ell} exceeds cap {scan_cap}")
+        n0 = (ell - 1) >> ctx.alpha
+        powers, log = odd_subgroup_tables(ctx)
+        k = powers[1:]                   # k = h^j for j in [1, n0)
+        neg = k + 1
+        neg *= k
+        neg %= ell
+        np.subtract(ell, neg, out=neg)   # -k^2-k, a unit since k != 0, -1
+        t = log[neg]
+        del neg, log                     # free both before the filters: peak memory
+        j = np.flatnonzero(t >= 0) + 1   # (ii): -k^2-k has odd order
+        t = t[j - 1]
+        v3 = _nu3_table(n0, ctx.beta)
+        hit = (v3[j] < v3[t]) & (3 * j != n0) & (3 * j != 2 * n0)
+        members = tuple(np.sort(powers[j[hit]]).tolist())
     return KSetReport(
         ctx=ctx,
         members=members,

@@ -17,6 +17,7 @@ from demjanenko.arith import (
     make_context,
     mod_inverse,
     mult_order,
+    odd_subgroup_tables,
     primitive_root,
     probable_prime,
     valuation,
@@ -164,3 +165,21 @@ def test_index_table_orders_agree():
     orders = n // np.gcd(ind[1:], n)
     for u in range(1, ctx.ell):
         assert int(orders[u - 1]) == mult_order(u, ctx).order
+
+
+@pytest.mark.parametrize("ell", [7, 13, 31, 97, 211, 257, 7681])
+def test_odd_subgroup_tables(ell):
+    ctx = make_context(ell)
+    n0 = (ell - 1) >> ctx.alpha
+    powers, log = odd_subgroup_tables(ctx)
+    assert powers.shape == (n0,) and log.shape == (ell,) and log.dtype == np.int32
+    # powers walk the odd-order units once each; log inverts them
+    assert sorted(int(x) for x in powers) == [
+        u for u in range(1, ell) if mult_order(u, ctx).nu2 == 0
+    ]
+    h = pow(primitive_root(ctx), 1 << ctx.alpha, ell)
+    assert all(pow(h, j, ell) == int(powers[j]) for j in range(n0))
+    assert (log[powers] == np.arange(n0)).all()
+    odd = np.zeros(ell, dtype=bool)
+    odd[powers] = True
+    assert (log[~odd] == -1).all()

@@ -5,6 +5,8 @@ import json
 import jsonschema
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demjanenko.cli import main
 
@@ -206,3 +208,21 @@ def test_rank_cap_env(monkeypatch):
     monkeypatch.setenv("DEMJANENKO_EXACT_RANK_CAP", "5")
     res = runner.invoke(main, ["rank", "--ell", "67", "--k", "6"])
     assert res.exit_code == 2
+
+
+_FUZZ_ARGS = st.one_of(
+    st.integers(-10, 5000).map(lambda ell: ["kset", "--ell", str(ell)]),
+    st.tuples(st.integers(-5, 2000), st.sampled_from([-1, 0, 1])).map(
+        lambda a: ["census", "--max-ell", str(a[0]), "--workers", str(a[1])]
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FUZZ_ARGS)
+def test_cli_fuzz_exit_codes(args):
+    res = runner.invoke(main, args)
+    assert res.exit_code in (0, 1, 2)
+    assert "Traceback" not in res.output
+    # an escaped exception would leave a non-SystemExit here
+    assert res.exception is None or isinstance(res.exception, SystemExit)

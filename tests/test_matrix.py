@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from demjanenko.arith import make_context, mult_order
 from demjanenko.errors import DimensionTooLarge, KOutOfRange, NonIntegerRank
@@ -73,6 +74,24 @@ def test_stabilizer_size_matches_root_condition(ell):
         expect = 3 if (k * k + k + 1) % ell == 0 else 1
         assert len(stab.elements) == expect
         assert 1 in stab.elements
+
+
+def _stabilizer_all_units(hps) -> tuple[int, ...]:
+    """The setwise stabilizer by testing every unit; the exact oracle."""
+    ell = hps.ell
+    in_m = np.zeros(ell, dtype=bool)
+    in_m[list(hps.members)] = True
+    w = np.arange(1, ell, dtype=np.int64)
+    images = np.outer(w, np.array(hps.members, dtype=np.int64)) % ell
+    return tuple(int(x) for x in w[in_m[images].all(axis=1)])
+
+
+def test_stabilizer_matches_all_units_scan():
+    for ell in sympy.primerange(3, 201):
+        ctx = make_context(ell)
+        for k in range(1, ell - 1):
+            hps = half_plane_set(ctx, k)
+            assert stabilizer(hps).elements == _stabilizer_all_units(hps), (ell, k)
 
 
 def test_stabilizer_elements_fix_the_set():

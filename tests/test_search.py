@@ -3,6 +3,7 @@
 import pytest
 import sympy
 
+from demjanenko import search
 from demjanenko.arith import make_context
 from demjanenko.errors import NotPrime
 from demjanenko.search import (
@@ -39,7 +40,7 @@ def test_k_witness_agrees_with_full_scan(ell):
 
 
 def test_k_set_is_empty_routes_agree():
-    # the subgroup walk against the full discrete-log scan
+    # the sequential subgroup walk against the vectorized k_set scan
     for ell in map(int, sieve_primes(20_000)):
         if ell < 3:
             continue
@@ -97,6 +98,33 @@ def test_census_checkpoint(tmp_path):
     # a resumed run skips everything and yields nothing new
     resumed = list(census(SearchConfig(max_ell=2000, checkpoint_path=path)))
     assert resumed == []
+
+
+def test_census_checkpoints_each_shard_as_it_streams(tmp_path, monkeypatch):
+    # 668 odd primes <= 5000: a shard of 512, then one of 156
+    path = str(tmp_path / "census.ckpt")
+    real_chunk = search._census_chunk
+    calls = []
+
+    def failing_chunk(primes):
+        calls.append(primes[0])
+        if len(calls) == 2:
+            raise RuntimeError("killed in the second shard")
+        return real_chunk(primes)
+
+    monkeypatch.setattr(search, "_census_chunk", failing_chunk)
+    got = []
+    with pytest.raises(RuntimeError):
+        for rep in census(SearchConfig(max_ell=5000, checkpoint_path=path)):
+            got.append(rep.ctx.ell)
+    primes = [int(p) for p in sieve_primes(5000)[1:]]
+    assert got == primes[:512]
+    assert read_checkpoint(path) == {(3, primes[511] + 1)}
+    # the resumed run computes only the second shard
+    monkeypatch.setattr(search, "_census_chunk", real_chunk)
+    resumed = [r.ctx.ell for r in census(SearchConfig(max_ell=5000, checkpoint_path=path))]
+    assert resumed == primes[512:]
+    assert len(read_checkpoint(path)) == 2
 
 
 def test_checkpoint_roundtrip(tmp_path):

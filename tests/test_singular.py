@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from demjanenko.arith import make_context, mult_order
+from demjanenko.arith import index_table, make_context, mult_order
 from demjanenko.errors import BetaZero, CapExceeded, HOutOfRange, KOutOfRange
 from demjanenko.singular import (
     a0_closed_form,
@@ -21,6 +22,7 @@ from demjanenko.singular import (
     verify_bsum_identities,
     verify_character_identities,
 )
+from demjanenko.search import sieve_primes
 from demjanenko.verify import k_set_oracle
 
 
@@ -75,8 +77,71 @@ def test_k_set_matches_per_k_criterion(ell):
     assert members == expected
 
 
+def _nu3_capped(t: np.ndarray, beta: int) -> np.ndarray:
+    """Componentwise min(nu_3(t), beta); t == 0 maps to beta."""
+    v = np.zeros(t.shape, dtype=np.int64)
+    x = t.copy()
+    for _ in range(beta):
+        div = x % 3 == 0
+        v += div
+        x[div] //= 3
+    return v
+
+
+def _condition_masks(ctx, ind: np.ndarray):
+    """Vectorized condition flags for all k in [1, ell-2]."""
+    ell, alpha, beta = ctx.ell, ctx.alpha, ctx.beta
+    n = ell - 1
+    k = np.arange(1, ell - 1, dtype=np.int64)
+    pos = k * (k + 1) % ell
+    t_k = ind[k]
+    t_pos = ind[pos]
+    t_neg = ind[ell - pos]
+    two = np.int64(1 << alpha)
+    cond_ii = (t_k % two == 0) & (t_neg % two == 0)
+    cond_iii = _nu3_capped(t_k, beta) < _nu3_capped(t_pos, beta)
+    if n % 3 == 0:
+        cond_i = np.gcd(t_k, n) != n // 3  # order 3 <=> gcd(t, n) = n/3
+    else:
+        cond_i = np.ones(k.shape, dtype=bool)
+    return k, cond_i, cond_ii, cond_iii
+
+
+def _full_scan_members(ctx) -> tuple[int, ...]:
+    """The singular set by a scan of all ell-2 residues through the full
+    discrete-log table; the exact oracle for the odd-subgroup scan."""
+    if ctx.beta == 0:
+        return ()
+    k, c1, c2, c3 = _condition_masks(ctx, index_table(ctx))
+    return tuple(int(x) for x in k[c1 & c2 & c3])
+
+
+def test_k_set_matches_full_scan_up_to_20000():
+    for ell in sieve_primes(20000)[1:]:
+        ctx = make_context(int(ell))
+        assert k_set(ctx).members == _full_scan_members(ctx), ell
+
+
+@pytest.mark.parametrize("ell", [7, 13, 97, 193, 769, 12289, 786433])
+def test_k_set_empty_when_only_cube_roots_remain(ell):
+    # ell - 1 = 2^alpha * 3: the odd-order subgroup is {1, w, w^2}
+    ctx = make_context(ell)
+    assert (ell - 1) >> ctx.alpha == 3
+    assert k_set(ctx).members == () == _full_scan_members(ctx)
+
+
+@pytest.mark.parametrize(
+    "ell, alpha, beta",
+    [(995329, 12, 5), (1048609, 5, 2)],
+)
+def test_k_set_edge_primes_match_full_scan(ell, alpha, beta):
+    ctx = make_context(ell)
+    assert (ctx.alpha, ctx.beta) == (alpha, beta)
+    assert k_set(ctx).members == _full_scan_members(ctx)
+
+
 def test_k_set_beta_zero_is_empty():
-    for ell in (5, 11, 17, 23, 29):
+    for ell in (5, 11, 17, 23, 29, 7340033):
         ctx = make_context(ell)
         assert ctx.beta == 0
         assert k_set(ctx).members == ()
