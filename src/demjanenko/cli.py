@@ -104,10 +104,8 @@ def census(max_ell, workers, checkpoint, fmt):
 @click.option("--k", type=int, required=True)
 def matrix_cmd(ell, k):
     """Dump the sign matrix as a +/- grid."""
-    ctx = arith.make_context(ell)
-    stab = matrix_mod.stabilizer(matrix_mod.half_plane_set(ctx, k))
-    dm = matrix_mod.build_matrix(ctx, k)
-    click.echo(matrix_mod.dump_matrix(dm, len(stab.elements)))
+    dm = matrix_mod.build_matrix(arith.make_context(ell), k)
+    click.echo(matrix_mod.dump_matrix(dm))
 
 
 @main.command()

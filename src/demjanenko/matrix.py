@@ -7,21 +7,16 @@ entries (indicator - 1/2) by 2 preserves the rank.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import PrimeContext, check_k, probable_prime
+from .arith import PrimeContext, check_k
 from .errors import DimensionTooLarge, NonIntegerRank
 
 DEFAULT_RANK_CAP = 600
 _RANK_CAP_ENV = "DEMJANENKO_EXACT_RANK_CAP"
-
-# 30-bit moduli keep every intermediate product of the vectorized
-# elimination inside int64.
-_MOD_PRIME_BITS = 30
 
 
 @dataclass(frozen=True)
@@ -52,6 +47,11 @@ class DemjanenkoMatrix:
     @property
     def dimension(self) -> int:
         return len(self.reps)
+
+    @property
+    def stabilizer_size(self) -> int:
+        """|W| = (ell-1)/(2 dim): the reps are one per W-orbit of M."""
+        return (self.ell - 1) // (2 * self.dimension)
 
 
 def half_plane_set(ctx: PrimeContext, k: int) -> HalfPlaneSet:
@@ -126,26 +126,11 @@ def _rank_cap() -> int:
     return int(raw) if raw else DEFAULT_RANK_CAP
 
 
-def _gen_mod_primes():
-    p = (1 << _MOD_PRIME_BITS) - 1
-    while True:
-        if probable_prime(p):
-            yield p
-        p -= 2
-
-
-_MOD_PRIMES: list[int] = []
-
-
-def _mod_primes(count: int) -> list[int]:
-    if len(_MOD_PRIMES) < count:
-        g = _gen_mod_primes()
-        _MOD_PRIMES[:] = [next(g) for _ in range(count)]
-    return _MOD_PRIMES[:count]
-
-
 def rank_mod(matrix: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over GF(p), vectorized elimination."""
+    """Rank of an integer matrix over GF(p), vectorized elimination.
+
+    `exact_rank` does not use it; it is the modular oracle of the tests.
+    """
     a = np.asarray(matrix, dtype=np.int64) % p
     n_rows, n_cols = a.shape
     r = 0
@@ -167,63 +152,34 @@ def rank_mod(matrix: np.ndarray, p: int) -> int:
     return r
 
 
-def bareiss_rank(matrix) -> int:
-    """Fraction-free integer echelon rank (exact, no modular shortcuts)."""
-    a = [[int(x) for x in row] for row in np.asarray(matrix)]
-    n_rows = len(a)
-    n_cols = len(a[0]) if n_rows else 0
-    rank = 0
-    prev = 1
-    for c in range(n_cols):
-        piv = next((i for i in range(rank, n_rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pivot_row = a[rank]
-        pv = pivot_row[c]
-        for i in range(rank + 1, n_rows):
-            row = a[i]
-            f = row[c]
-            for j in range(c, n_cols):
-                row[j] = (pv * row[j] - f * pivot_row[j]) // prev
-        prev = pv
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
-def _certified_rank(signs: np.ndarray) -> int:
-    """Exact rank via CRT-certified modular elimination.
-
-    Every minor of an n x n sign matrix is bounded by Hadamard's n^{n/2}.
-    If rank mod p_i <= r for moduli whose product exceeds twice that
-    bound, every (r+1)-minor vanishes modulo the product and is therefore
-    zero, so r is also an upper bound for the rational rank.
-    """
-    n = signs.shape[0]
-    bound_bits = int(n / 2 * math.log2(n)) + 2 if n > 1 else 2
-    count = max(3, bound_bits // (_MOD_PRIME_BITS - 1) + 1)
-    best = 0
-    for p in _mod_primes(count):
-        best = max(best, rank_mod(signs, p))
-        if best == n:
-            return n
-    return best
-
-
 def exact_rank(dm: DemjanenkoMatrix, cap: int | None = None) -> int:
     """Rank of the matrix over the rationals, exact.
 
-    One certified multi-modular pass: a full-rank matrix exits on the
-    first modulus that shows full rank (usually the first one), and a
-    singular one takes every modulus the Hadamard bound asks for.
+    The rank is read from `dm.reps` of a matrix made by `build_matrix`;
+    the signs array is not read. Up to row and column signs the matrix is
+    the group matrix over (Z/ell)^*/(+-W) of the odd, W-invariant sign
+    function, so its eigenvalues are lambda_t = sum_r omega(r)^t over the
+    reps, omega the Teichmueller character and t odd with |W| | t. At a
+    prime above ell, omega(x) = x and lambda_t reduces to the power sum
+    sum_r r^t mod ell. The t with one gcd(t, ell-1) are one Galois orbit.
+    If every power sum in an orbit vanishes, ell^phi divides the norm of
+    lambda while |lambda| <= dim < ell bounds it below ell^phi, so
+    lambda = 0; otherwise lambda != 0. The rank is the size of the orbits
+    with a nonzero power sum.
     """
     n = dm.dimension
     limit = cap if cap is not None else _rank_cap()
     if n > limit:
         raise DimensionTooLarge(f"dimension {n} exceeds exact-rank cap {limit}")
-    return _certified_rank(dm.signs)
+    ell, w = dm.ell, dm.stabilizer_size
+    power = np.array([pow(r, w, ell) for r in dm.reps], dtype=np.int64)
+    step = power * power % ell
+    sums = np.empty(n, dtype=np.int64)
+    for i in range(n):  # power = r^t for t = (2i+1)w
+        sums[i] = power.sum() % ell
+        power = power * step % ell
+    orbit = np.gcd(np.arange(w, ell - 1, 2 * w), ell - 1)
+    return int(np.isin(orbit, orbit[sums != 0]).sum())
 
 
 def rank_formula_value(ctx: PrimeContext, k: int, M: int) -> int:
@@ -236,8 +192,8 @@ def rank_formula_value(ctx: PrimeContext, k: int, M: int) -> int:
     return num // den
 
 
-def dump_matrix(dm: DemjanenkoMatrix, stab_size: int) -> str:
+def dump_matrix(dm: DemjanenkoMatrix) -> str:
     """Textual grid of +/- characters with a header line."""
-    header = f"ell={dm.ell} k={dm.k} dim={dm.dimension} |W|={stab_size}"
+    header = f"ell={dm.ell} k={dm.k} dim={dm.dimension} |W|={dm.stabilizer_size}"
     rows = ["".join("+" if s > 0 else "-" for s in row) for row in dm.signs]
     return "\n".join([header, *rows])

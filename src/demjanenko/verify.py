@@ -19,12 +19,16 @@ def _odd_primes(max_ell: int) -> list[int]:
     return [int(p) for p in sieve_primes(max_ell) if p >= 3]
 
 
-def k_set_oracle(ctx: PrimeContext, cap: int | None = None) -> list[int]:
-    """Independent route: k is in the set iff the matrix rank is deficient."""
+def k_set_oracle(ctx: PrimeContext) -> list[int]:
+    """Independent route: k is in the set iff the matrix rank is deficient.
+
+    Singularity comes from `exact_rank`'s power sums over the half-plane
+    reps, which never consult the order criterion.
+    """
     out = []
     for k in range(1, ctx.ell - 1):
         dm = build_matrix(ctx, k)
-        if exact_rank(dm, cap=cap) < dm.dimension:
+        if exact_rank(dm) < dm.dimension:
             out.append(k)
     return out
 
@@ -65,13 +69,13 @@ def theorem1_suite(
     return failures
 
 
-def identities_suite(max_ell: int = 200, tolerance: float = 1e-9) -> list[str]:
+def identities_suite(max_ell: int = 200) -> list[str]:
     """Character orthogonality, indicator expansions, and the exact
     rational identities behind the count."""
     failures = []
     for ell in _odd_primes(max_ell):
         ctx = make_context(ell)
-        char = verify_character_identities(ctx, tolerance=tolerance, cap=max_ell)
+        char = verify_character_identities(ctx, cap=max_ell)
         if not char.ok:
             failures.append(
                 f"ell={ell}: character deviation "

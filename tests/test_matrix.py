@@ -1,15 +1,16 @@
 """Matrix construction and exact rank against independent routes."""
 
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 
-from demjanenko.arith import make_context, mult_order
+from demjanenko.arith import make_context, mult_order, probable_prime
 from demjanenko.errors import DimensionTooLarge, KOutOfRange, NonIntegerRank
 from demjanenko.matrix import (
-    bareiss_rank,
     build_matrix,
     coset_reps,
     dump_matrix,
@@ -19,6 +20,7 @@ from demjanenko.matrix import (
     rank_mod,
     stabilizer,
 )
+from demjanenko.singular import k_set, m_value
 
 
 def _frac(j, ell):
@@ -43,6 +45,56 @@ def fraction_rank(matrix) -> int:
                 a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
         rank += 1
     return rank
+
+
+def bareiss_rank(matrix) -> int:
+    """Fraction-free integer echelon rank (exact, no modular shortcuts)."""
+    a = [[int(x) for x in row] for row in np.asarray(matrix)]
+    n_rows = len(a)
+    n_cols = len(a[0]) if n_rows else 0
+    rank = 0
+    prev = 1
+    for c in range(n_cols):
+        piv = next((i for i in range(rank, n_rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        pivot_row = a[rank]
+        pv = pivot_row[c]
+        for i in range(rank + 1, n_rows):
+            row = a[i]
+            f = row[c]
+            for j in range(c, n_cols):
+                row[j] = (pv * row[j] - f * pivot_row[j]) // prev
+        prev = pv
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+# 30-bit moduli keep every intermediate product of rank_mod inside int64.
+_MOD_PRIMES = [p for p in range((1 << 30) - 1, (1 << 30) - 2000, -2) if probable_prime(p)]
+
+
+def certified_rank(signs: np.ndarray) -> int:
+    """Exact rank via CRT-certified modular elimination.
+
+    Every minor of an n x n sign matrix is bounded by Hadamard's n^{n/2}.
+    If rank mod p_i <= r for moduli whose product exceeds twice that
+    bound, every (r+1)-minor vanishes modulo the product and is therefore
+    zero, so r is also an upper bound for the rational rank.
+    """
+    n = signs.shape[0]
+    bound_bits = int(n / 2 * math.log2(n)) + 2 if n > 1 else 2
+    count = max(3, bound_bits // 29 + 1)
+    assert count <= len(_MOD_PRIMES)
+    best = 0
+    for p in _MOD_PRIMES[:count]:
+        best = max(best, rank_mod(signs, p))
+        if best == n:
+            return n
+    return best
 
 
 @pytest.mark.parametrize("ell", [5, 7, 13, 31, 61])
@@ -138,8 +190,7 @@ def test_matrix_small_hand_oracle():
 def test_dump_matrix_format():
     ctx = make_context(13)
     dm = build_matrix(ctx, 3)
-    stab = stabilizer(half_plane_set(ctx, 3))
-    text = dump_matrix(dm, len(stab.elements))
+    text = dump_matrix(dm)
     lines = text.splitlines()
     assert lines[0] == "ell=13 k=3 dim=2 |W|=3"
     assert len(lines) == 3
@@ -153,6 +204,34 @@ def test_exact_rank_matches_fraction_oracle():
         for k in range(1, ell - 1):
             dm = build_matrix(ctx, k)
             assert exact_rank(dm) == fraction_rank(dm.signs)
+
+
+def test_exact_rank_matches_certified_elimination():
+    for ell in sympy.primerange(3, 201):
+        ctx = make_context(ell)
+        for k in range(1, ell - 1):
+            dm = build_matrix(ctx, k)
+            assert exact_rank(dm) == certified_rank(dm.signs), (ell, k)
+
+
+def test_exact_rank_large_ell_sample():
+    # Full rank is certified by full rank modulo one prime (rank mod p is
+    # at most the rational rank); singular ranks meet the paper's formula.
+    rng = random.Random(5)
+    primes = [int(p) for p in sympy.primerange(501, 1201)]
+    singular = 0
+    for ell in rng.sample(primes, 8):
+        ctx = make_context(ell)
+        members = k_set(ctx).members
+        for k in rng.sample(members, min(2, len(members))):
+            dm = build_matrix(ctx, k)
+            expected = rank_formula_value(ctx, k, m_value(ctx, k).M)
+            assert exact_rank(dm) == expected < dm.dimension, (ell, k)
+            singular += 1
+        k = rng.choice([k for k in range(1, ell - 1) if k not in members])
+        dm = build_matrix(ctx, k)
+        assert exact_rank(dm) == dm.dimension == rank_mod(dm.signs, _MOD_PRIMES[0]), (ell, k)
+    assert singular > 0
 
 
 def test_rank_routes_agree_on_random_sign_matrices():
