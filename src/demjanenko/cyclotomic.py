@@ -139,32 +139,6 @@ def _content(a: list[int]) -> int:
     return math.gcd(*a) if a else 0
 
 
-def _primitive(a: list[int]) -> list[int]:
-    c = _content(a)
-    if c in (0, 1):
-        return list(a)
-    return [x // c for x in a]
-
-
-def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd in Z[X] (primitive PRS; sign of the leading coeff
-    normalized positive)."""
-    a, b = list(p.coefficients), list(q.coefficients)
-    if not a:
-        return poly(_primitive(b))
-    if not b:
-        return poly(_primitive(a))
-    if len(a) < len(b):
-        a, b = b, a
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        r = _primitive(_pseudo_rem(a, b))
-        a, b = b, r
-    if a and a[-1] < 0:
-        a = [-x for x in a]
-    return poly(a)
-
-
 def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
     """Res(p, q) with the Sylvester-determinant sign convention,
     computed by the subresultant PRS."""
@@ -230,14 +204,12 @@ def l_set(a: int, b: int, d: int, e: int) -> ResultantRecord:
         raise ValueError(f"need 1 <= a and 0 <= b <= a-1, got a={a}, b={b}")
     if math.gcd(d, 6) != 1 or math.gcd(e, 6) != 1:
         raise ValueError("d and e must be coprime to 6")
+    # Only a=1, d=1 lets the two share a root: a common root x is a root of
+    # unity with |x(x+1)| = 1, so |x+1| = 1 and x = e^{+-2 pi i/3}.
     if a == 1 and d == 1:
         raise DegenerateParameters("a=1, d=1 puts cube roots of unity in both")
     p = cyclotomic_poly(3**a * d)
     q = compose_neg_quadratic(cyclotomic_poly(3**b * e))
-    if poly_gcd(p, q).degree > 0:
-        raise DegenerateParameters(
-            f"common factor for (a,b,d,e)=({a},{b},{d},{e}); resultant is 0"
-        )
     res = resultant(p, q)
     primes = tuple(pp for pp, _ in factorize(abs(res)))
     return ResultantRecord(a=a, b=b, d=d, e=e, resultant=res, prime_divisors=primes)

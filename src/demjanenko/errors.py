@@ -53,9 +53,5 @@ class DegenerateParameters(DemjanenkoError):
     """The two polynomials share a root, so the resultant is provably zero."""
 
 
-class BudgetExceeded(DemjanenkoError):
-    """A scan row exceeds the configured prime budget."""
-
-
 class BoundViolation(DemjanenkoError):
     """A computed count escaped a proven inequality; signals a bug."""

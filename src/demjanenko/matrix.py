@@ -1,8 +1,9 @@
 """Demjanenko matrix construction and exact rank over the rationals.
 
-The matrix is stored as a square array of signs: +1 where the half-plane
-indicator at -c^{-1}a is 1, -1 where it is 0. Scaling the rational
-entries (indicator - 1/2) by 2 preserves the rank.
+A matrix is stored as its coset representatives; its square array of
+signs (+1 where the half-plane indicator at -c^{-1}a is 0, -1 where it
+is 1) is built only on demand. Scaling the rational entries
+(1/2 - indicator) by 2 preserves the rank.
 """
 
 from __future__ import annotations
@@ -42,11 +43,22 @@ class DemjanenkoMatrix:
     ell: int
     k: int
     reps: tuple[int, ...]
-    signs: np.ndarray  # square, entries in {-1, +1}
 
     @property
     def dimension(self) -> int:
         return len(self.reps)
+
+    @property
+    def signs(self) -> np.ndarray:
+        """The dim x dim matrix of signs over the reps c (rows), a
+        (columns): with x = -c^{-1}a mod ell, the entry is -1 iff
+        <kx> + <x> < ell, else +1. Built anew on each access, at a cost
+        of dim^2 in time and memory; `exact_rank` never reads it."""
+        ell = self.ell
+        r = np.array(self.reps, dtype=np.int64)
+        inv = np.array([pow(c, -1, ell) for c in self.reps], dtype=np.int64)
+        x = -np.outer(inv, r) % ell
+        return np.where(self.k * x % ell + x < ell, -1, 1)
 
     @property
     def stabilizer_size(self) -> int:
@@ -106,19 +118,22 @@ def coset_reps(hps: HalfPlaneSet, stab: Stabilizer) -> tuple[int, ...]:
 
 
 def build_matrix(ctx: PrimeContext, k: int) -> DemjanenkoMatrix:
-    """Sign matrix over coset representatives c, a: +1 iff -c^{-1}a is
-    outside the half-plane set."""
+    """The matrix over the coset representatives of the half-plane set.
+
+    Every matrix of a prime ell has dimension (ell-1)/(2|W|) >= (ell-1)/6,
+    since |W| <= 3; an ell that puts that past the exact-rank cap is
+    refused before anything of size ell is allocated.
+    """
     check_k(ctx, k)
-    ell = ctx.ell
+    cap = _rank_cap()
+    if (ctx.ell - 1) // 6 > cap:
+        raise DimensionTooLarge(
+            f"ell={ctx.ell}: every matrix has dimension at least "
+            f"{(ctx.ell - 1) // 6}, over the exact-rank cap {cap}"
+        )
     hps = half_plane_set(ctx, k)
-    stab = stabilizer(hps)
-    reps = coset_reps(hps, stab)
-    in_m = _membership_mask(hps)
-    r = np.array(reps, dtype=np.int64)
-    inv = np.array([pow(int(c), -1, ell) for c in reps], dtype=np.int64)
-    args = (-np.outer(inv, r)) % ell
-    signs = np.where(in_m[args], -1, 1).astype(np.int64)
-    return DemjanenkoMatrix(ell=ell, k=k, reps=reps, signs=signs)
+    reps = coset_reps(hps, stabilizer(hps))
+    return DemjanenkoMatrix(ell=ctx.ell, k=k, reps=reps)
 
 
 def _rank_cap() -> int:

@@ -19,6 +19,18 @@ def _odd_primes(max_ell: int) -> list[int]:
     return [int(p) for p in sieve_primes(max_ell) if p >= 3]
 
 
+def _per_prime(check, max_ell: int, workers: int) -> list[str]:
+    """The failures `check(ell)` reports over the odd primes up to
+    max_ell, on a pool of `workers` processes when there is more than one."""
+    primes = _odd_primes(max_ell)
+    if workers > 1:
+        with Pool(workers) as pool:
+            chunks = pool.map(check, primes)
+    else:
+        chunks = map(check, primes)
+    return [msg for chunk in chunks for msg in chunk]
+
+
 def k_set_oracle(ctx: PrimeContext) -> list[int]:
     """Independent route: k is in the set iff the matrix rank is deficient.
 
@@ -44,13 +56,7 @@ def _oracle_one(ell: int) -> list[str]:
 
 def oracle_suite(max_ell: int = 200, workers: int = 1) -> list[str]:
     """Criterion membership vs singularity of the actual matrix."""
-    primes = _odd_primes(max_ell)
-    if workers > 1:
-        with Pool(workers) as pool:
-            chunks = pool.map(_oracle_one, primes)
-    else:
-        chunks = [_oracle_one(p) for p in primes]
-    return [msg for chunk in chunks for msg in chunk]
+    return _per_prime(_oracle_one, max_ell, workers)
 
 
 def theorem1_suite(
@@ -107,10 +113,4 @@ def _rankformula_one(ell: int) -> list[str]:
 
 def rankformula_suite(max_ell: int = 500, workers: int = 1) -> list[str]:
     """Exact matrix rank against the lcm-defect formula, singular k only."""
-    primes = _odd_primes(max_ell)
-    if workers > 1:
-        with Pool(workers) as pool:
-            chunks = pool.map(_rankformula_one, primes)
-    else:
-        chunks = [_rankformula_one(p) for p in primes]
-    return [msg for chunk in chunks for msg in chunk]
+    return _per_prime(_rankformula_one, max_ell, workers)

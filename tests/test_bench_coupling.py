@@ -1,0 +1,40 @@
+"""The names the benchmark's tracer looks up in the library still exist.
+
+`bench/tracing.py` finds each traced function with `getattr` on
+`demjanenko.<module>`, and the bench tests call `exact_rank(dm, cap)`
+positionally; a rename or deletion would otherwise surface only in a
+traced benchmark run.
+"""
+
+import importlib
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+from demjanenko.arith import make_context
+from demjanenko.errors import DimensionTooLarge
+from demjanenko.matrix import build_matrix, exact_rank
+
+_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def test_every_traced_function_exists(monkeypatch):
+    # compiled from the source text, so nothing is written next to it;
+    # registered while it runs, because its dataclasses look it up
+    tracing = types.ModuleType("bench_tracing")
+    monkeypatch.setitem(sys.modules, tracing.__name__, tracing)
+    exec(compile(_TRACING.read_text(), str(_TRACING), "exec"), tracing.__dict__)
+    traced = tracing.TRACED
+    assert traced
+    for mod_name, fn_name, _ in traced:
+        module = importlib.import_module(f"demjanenko.{mod_name}")
+        assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
+
+
+def test_exact_rank_takes_cap_positionally():
+    dm = build_matrix(make_context(67), 6)
+    assert exact_rank(dm, dm.dimension) == 31
+    with pytest.raises(DimensionTooLarge):
+        exact_rank(dm, dm.dimension - 1)

@@ -67,6 +67,11 @@ def test_kset_rationals_never_floats():
             ["verify", "--mode", "theorem1", "--max-ell", "50", "--workers", "0"],
             id="verify-workers-0",
         ),
+        *(
+            pytest.param([cmd, "--ell", ell, "--k", "2"], id=f"{cmd}-ell-{ell}")
+            for cmd in ("rank", "matrix")
+            for ell in ("1000003", "2147483647")
+        ),
     ],
 )
 def test_usage_error_exits_2(args):
@@ -215,10 +220,13 @@ _FUZZ_ARGS = st.one_of(
     st.tuples(st.integers(-5, 2000), st.sampled_from([-1, 0, 1])).map(
         lambda a: ["census", "--max-ell", str(a[0]), "--workers", str(a[1])]
     ),
+    st.tuples(
+        st.sampled_from(["rank", "matrix"]), st.integers(-10, 5000), st.integers(-3, 5000)
+    ).map(lambda a: [a[0], "--ell", str(a[1]), "--k", str(a[2])]),
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_FUZZ_ARGS)
 def test_cli_fuzz_exit_codes(args):
     res = runner.invoke(main, args)

@@ -1,5 +1,6 @@
 """Cyclotomic polynomials and subresultant resultants against sympy."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from demjanenko.cyclotomic import (
     cyclotomic_poly,
     l_set,
     poly,
-    poly_gcd,
     resultant,
 )
 from demjanenko.errors import CapExceeded, DegenerateParameters, ZeroPolynomial
@@ -157,14 +157,6 @@ def test_resultant_float_sanity():
     assert math.isclose(abs(resultant(p, q)), approx, rel_tol=1e-6)
 
 
-def test_poly_gcd():
-    p = poly([-1, 0, 1])      # (X-1)(X+1)
-    q = poly([-1, 1])
-    assert poly_gcd(p, q).coefficients == (-1, 1)
-    assert poly_gcd(p, poly([1, 1])).coefficients == (1, 1)
-    assert poly_gcd(q, poly([1, 1])).degree == 0
-
-
 def test_l_set_known_values():
     assert l_set(2, 1, 1, 1).prime_divisors == (3,)
     assert l_set(3, 2, 1, 1).prime_divisors == (3, 271)
@@ -177,6 +169,18 @@ def test_l_set_record_json():
     j = l_set(3, 2, 1, 1).to_json()
     assert isinstance(j["resultant"], str)
     assert int(j["resultant"]) % 271 == 0
+
+
+def test_only_a1_d1_shares_a_root():
+    # why l_set rejects a=1, d=1 and needs no gcd check for the rest
+    assert resultant(cyclotomic_poly(3), compose_neg_quadratic(cyclotomic_poly(1))) == 0
+    for a, d, e in itertools.product((1, 2, 3), (1, 5, 7), (1, 5, 7)):
+        if (a, d) == (1, 1):
+            continue
+        p = cyclotomic_poly(3**a * d)
+        for b in range(a):
+            q = compose_neg_quadratic(cyclotomic_poly(3**b * e))
+            assert resultant(p, q) != 0, (a, b, d, e)
 
 
 def test_l_set_validation():

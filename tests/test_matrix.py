@@ -187,6 +187,41 @@ def test_matrix_small_hand_oracle():
             assert dm.signs[i, j] == expected
 
 
+def _signs_from_membership(hps, reps) -> np.ndarray:
+    """The sign matrix as build_matrix made it before it kept only the
+    reps: -1 where -c^{-1}a mod ell lies in the half-plane set."""
+    ell = hps.ell
+    in_m = np.zeros(ell, dtype=bool)
+    in_m[list(hps.members)] = True
+    r = np.array(reps, dtype=np.int64)
+    inv = np.array([pow(c, -1, ell) for c in reps], dtype=np.int64)
+    return np.where(in_m[-np.outer(inv, r) % ell], -1, 1)
+
+
+def test_signs_match_half_plane_membership():
+    for ell in sympy.primerange(3, 201):
+        ctx = make_context(ell)
+        for k in range(1, ell - 1):
+            dm = build_matrix(ctx, k)
+            expected = _signs_from_membership(half_plane_set(ctx, k), dm.reps)
+            assert np.array_equal(dm.signs, expected), (ell, k)
+
+
+def test_matrix_is_a_value():
+    ctx = make_context(67)
+    assert build_matrix(ctx, 6) == build_matrix(ctx, 6)
+    assert build_matrix(ctx, 6) != build_matrix(ctx, 7)
+    assert len({build_matrix(ctx, 6), build_matrix(ctx, 6)}) == 1
+
+
+def test_build_matrix_refuses_ell_past_cap(monkeypatch):
+    # (ell-1)/6 bounds every dimension below; 37: 6 > 5, 31: 5 <= 5
+    monkeypatch.setenv("DEMJANENKO_EXACT_RANK_CAP", "5")
+    with pytest.raises(DimensionTooLarge):
+        build_matrix(make_context(37), 10)
+    assert build_matrix(make_context(31), 5).dimension == 5  # 5^2+5+1 = 31, |W| = 3
+
+
 def test_dump_matrix_format():
     ctx = make_context(13)
     dm = build_matrix(ctx, 3)
