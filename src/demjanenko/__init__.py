@@ -20,10 +20,7 @@ from .cyclotomic import (
 )
 from .matrix import (
     DemjanenkoMatrix,
-    HalfPlaneSet,
-    Stabilizer,
     build_matrix,
-    coset_reps,
     dump_matrix,
     exact_rank,
     half_plane_set,
@@ -61,9 +58,8 @@ __all__ = [
     "make_context", "mod_inverse", "mult_order",
     "IntPolynomial", "ResultantRecord", "compose_neg_quadratic",
     "cyclotomic_poly", "l_set", "resultant",
-    "DemjanenkoMatrix", "HalfPlaneSet", "Stabilizer", "build_matrix",
-    "coset_reps", "dump_matrix", "exact_rank", "half_plane_set",
-    "rank_formula_value", "stabilizer",
+    "DemjanenkoMatrix", "build_matrix", "dump_matrix", "exact_rank",
+    "half_plane_set", "rank_formula_value", "stabilizer",
     "LbmRow", "LsRecord", "SearchConfig", "census", "corollary712_search",
     "density_census", "find_ls", "lbm_scan",
     "CriterionEvidence", "KSetReport", "MStat", "criterion", "indicator_eta",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KOutOfRange, NoPrimitiveRoot, NotPrime, NotUnit, RangeExceeded
+from .errors import CapExceeded, KOutOfRange, NoPrimitiveRoot, NotPrime, NotUnit, RangeExceeded
 
 MACHINE_LIMIT = 1 << 63
 
@@ -23,6 +23,11 @@ DETERMINISTIC_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _TRIAL_LIMIT = 1_000_000
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # increments mod 30 starting from 7
+
+# Work cap of one Brent-rho call, in squarings mod n times n's bit length,
+# so it admits about 2^28/63 > 4e6 squarings below 2^63 (where rho needs
+# about 1e5 on a balanced semiprime) and far fewer on huge numbers.
+_RHO_WORK_CAP = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -104,14 +109,23 @@ def is_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
+    """A nontrivial factor of composite odd n (Brent's cycle variant).
+
+    Raises CapExceeded once the squarings exceed _RHO_WORK_CAP.
+    """
     if n % 2 == 0:
         return 2
+    budget = _RHO_WORK_CAP // n.bit_length()
     c = 1
     while True:
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
+            budget -= 2 * r
+            if budget < 0:
+                raise CapExceeded(
+                    f"Pollard rho hit its work cap on a {len(str(n))}-digit composite"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -139,6 +153,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
     Trial division up to 10^6 followed by Brent-Pollard rho; handles
     arbitrary-precision n (resultants factored downstream can exceed 2^63).
+    Raises CapExceeded when rho passes its work cap, which never happens
+    below 2^63.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -154,17 +170,21 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             out[p] = out.get(p, 0) + 1
         p += _WHEEL[i]
         i = (i + 1) & 7
-    stack = [n] if n > 1 else []
+    stack = [(n, 1)] if n > 1 else []  # (factor, multiplicity)
     while stack:
-        m = stack.pop()
+        m, e = stack.pop()
         if m == 1:
             continue
         if probable_prime(m):
-            out[m] = out.get(m, 0) + 1
+            out[m] = out.get(m, 0) + e
             continue
         d = _brent_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+        k = 0
+        while m % d == 0:  # all of d at once, so rho never finds it again
+            m //= d
+            k += 1
+        stack.append((d, e * k))
+        stack.append((m, e))
     return tuple(sorted(out.items()))
 
 
@@ -245,14 +265,14 @@ def _power_table(g: int, n: int, ell: int) -> np.ndarray:
     return powers
 
 
-def index_table(ctx: PrimeContext, g: int | None = None) -> np.ndarray:
-    """Discrete logs to base g: table ind with g^ind[x] = x for x in [1, ell-1].
+def index_table(ctx: PrimeContext) -> np.ndarray:
+    """Discrete logs to the smallest primitive root g: table ind with
+    g^ind[x] = x for x in [1, ell-1].
 
     ind[0] is unused. Requires ell < 2^31 so products fit in int64.
     """
     ell = ctx.ell
-    if g is None:
-        g = primitive_root(ctx)
+    g = primitive_root(ctx)
     n = ell - 1
     powers = _power_table(g, n, ell)
     ind = np.empty(ell, dtype=np.int64)

@@ -146,7 +146,7 @@ def verify_cmd(mode, max_ell, workers, checkpoint):
             max_ell, workers=workers, checkpoint_path=checkpoint
         )
     elif mode == "identities":
-        failures = verify.identities_suite(max_ell)
+        failures = verify.identities_suite(max_ell, workers=workers)
     else:
         failures = verify.rankformula_suite(max_ell, workers=workers)
     for msg in failures:

@@ -21,24 +21,6 @@ _RANK_CAP_ENV = "DEMJANENKO_EXACT_RANK_CAP"
 
 
 @dataclass(frozen=True)
-class HalfPlaneSet:
-    """Residues j with <kj> + <j> < ell; always (ell-1)/2 of them."""
-
-    ell: int
-    k: int
-    members: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Stabilizer:
-    """Setwise multiplicative stabilizer of a half-plane set; size 1 or 3."""
-
-    ell: int
-    k: int
-    elements: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class DemjanenkoMatrix:
     ell: int
     k: int
@@ -66,55 +48,30 @@ class DemjanenkoMatrix:
         return (self.ell - 1) // (2 * self.dimension)
 
 
-def half_plane_set(ctx: PrimeContext, k: int) -> HalfPlaneSet:
+def half_plane_set(ctx: PrimeContext, k: int) -> np.ndarray:
+    """Membership mask of length ell: mask[j] iff j >= 1 and
+    <kj> + <j> < ell. It always has (ell-1)/2 members."""
     check_k(ctx, k)
     ell = ctx.ell
-    j = np.arange(1, ell, dtype=np.int64)
-    members = j[(k * j % ell) + j < ell]
-    return HalfPlaneSet(ell=ell, k=k, members=tuple(int(x) for x in members))
-
-
-def _membership_mask(hps: HalfPlaneSet) -> np.ndarray:
-    mask = np.zeros(hps.ell, dtype=bool)
-    mask[list(hps.members)] = True
+    j = np.arange(ell, dtype=np.int64)
+    mask = k * j % ell + j < ell
+    mask[0] = False
     return mask
 
 
-def _cube_roots_of_unity(ell: int) -> list[int]:
-    """1 and, when 3 divides ell-1, the two roots of x^2+x+1 mod ell."""
+def stabilizer(mask: np.ndarray) -> tuple[int, ...]:
+    """Exact setwise stabilizer W of the half-plane set, sorted. It has
+    size 1 or 3, so it lies in the cube roots of unity; being a group,
+    it holds the nontrivial root w iff it holds w^2, so only w is
+    checked, by whether it maps the set into itself."""
+    ell = mask.size
     if (ell - 1) % 3:
-        return [1]
+        return (1,)
     e = (ell - 1) // 3
     w = next(w for w in (pow(a, e, ell) for a in range(2, ell)) if w != 1)
-    return sorted((1, w, w * w % ell))
-
-
-def stabilizer(hps: HalfPlaneSet) -> Stabilizer:
-    """Exact setwise stabilizer. It has size 1 or 3, so it lies in the
-    cube roots of unity; each of those is kept only if it maps the set
-    into itself."""
-    ell = hps.ell
-    in_m = _membership_mask(hps)
-    members = np.array(hps.members, dtype=np.int64)
-    elements = [
-        w for w in _cube_roots_of_unity(ell)
-        if in_m[w * members % ell].all()
-    ]
-    return Stabilizer(ell=ell, k=hps.k, elements=tuple(elements))
-
-
-def coset_reps(hps: HalfPlaneSet, stab: Stabilizer) -> tuple[int, ...]:
-    """Smallest representative of each stabilizer orbit on the set, sorted."""
-    ell = hps.ell
-    reps = []
-    seen = set()
-    for j in hps.members:  # members are sorted, so reps come out minimal
-        if j in seen:
-            continue
-        orbit = {w * j % ell for w in stab.elements}
-        seen |= orbit
-        reps.append(j)
-    return tuple(reps)
+    if not mask[w * np.flatnonzero(mask) % ell].all():
+        return (1,)
+    return tuple(sorted((1, w, w * w % ell)))
 
 
 def build_matrix(ctx: PrimeContext, k: int) -> DemjanenkoMatrix:
@@ -131,9 +88,11 @@ def build_matrix(ctx: PrimeContext, k: int) -> DemjanenkoMatrix:
             f"ell={ctx.ell}: every matrix has dimension at least "
             f"{(ctx.ell - 1) // 6}, over the exact-rank cap {cap}"
         )
-    hps = half_plane_set(ctx, k)
-    reps = coset_reps(hps, stabilizer(hps))
-    return DemjanenkoMatrix(ell=ctx.ell, k=k, reps=reps)
+    mask = half_plane_set(ctx, k)
+    reps = np.flatnonzero(mask)
+    for w in stabilizer(mask)[1:]:  # keep the least member of each W-orbit
+        reps = reps[reps < w * reps % ctx.ell]
+    return DemjanenkoMatrix(ell=ctx.ell, k=k, reps=tuple(reps.tolist()))
 
 
 def _rank_cap() -> int:

@@ -83,6 +83,11 @@ def sieve_primes(n: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
+def odd_primes(max_ell: int) -> list[int]:
+    """The odd primes <= max_ell, as Python ints."""
+    return [int(p) for p in sieve_primes(max_ell) if p >= 3]
+
+
 # ---------------------------------------------------------------------------
 # Emptiness of the singular set
 
@@ -166,7 +171,7 @@ def census(cfg: SearchConfig) -> Iterator[KSetReport]:
     workers > 1), and each shard's checkpoint line is appended right
     after its reports, so an interrupted run keeps every finished shard.
     """
-    primes = [int(p) for p in sieve_primes(cfg.max_ell) if p >= 3]
+    primes = odd_primes(cfg.max_ell)
     shard = 512
     chunks = [primes[i:i + shard] for i in range(0, len(primes), shard)]
     done = read_checkpoint(cfg.checkpoint_path) if cfg.checkpoint_path else set()
@@ -309,9 +314,6 @@ def lbm_scan(
             continue
         if ell > budget:
             rows.append(LbmRow(alpha=alpha, ell=ell, in_l=None, skipped=True))
-            continue
-        if beta == 0:
-            rows.append(LbmRow(alpha=alpha, ell=ell, in_l=False))
             continue
         in_l = not k_set_is_empty(ell)
         rows.append(LbmRow(alpha=alpha, ell=ell, in_l=in_l))

@@ -23,7 +23,6 @@ from .arith import (
     index_table,
     mult_order,
     odd_subgroup_tables,
-    primitive_root,
 )
 from .errors import BetaZero, CapExceeded, HOutOfRange
 
@@ -218,8 +217,7 @@ def verify_character_identities(
     if ell > cap:
         raise CapExceeded(f"character verification capped at ell <= {cap}")
     n = ell - 1
-    g = primitive_root(ctx)
-    ind = index_table(ctx, g)[1:]  # log of u = 1..ell-1
+    ind = index_table(ctx)[1:]  # log of u = 1..ell-1
     orders = n // np.gcd(ind, n)
 
     def char_sum(d: int) -> np.ndarray:

@@ -6,23 +6,22 @@ the property held everywhere in range.
 
 from __future__ import annotations
 
+from functools import partial
 from multiprocessing import Pool
 
 from .arith import PrimeContext, make_context
 from .errors import NonIntegerRank
 from .matrix import build_matrix, exact_rank, rank_formula_value
-from .search import SearchConfig, census, sieve_primes
+from .search import SearchConfig, census, odd_primes
 from .singular import k_set, m_value, verify_bsum_identities, verify_character_identities
-
-
-def _odd_primes(max_ell: int) -> list[int]:
-    return [int(p) for p in sieve_primes(max_ell) if p >= 3]
 
 
 def _per_prime(check, max_ell: int, workers: int) -> list[str]:
     """The failures `check(ell)` reports over the odd primes up to
     max_ell, on a pool of `workers` processes when there is more than one."""
-    primes = _odd_primes(max_ell)
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    primes = odd_primes(max_ell)
     if workers > 1:
         with Pool(workers) as pool:
             chunks = pool.map(check, primes)
@@ -63,36 +62,32 @@ def theorem1_suite(
     max_ell: int = 100_000, workers: int = 1, checkpoint_path: str | None = None
 ) -> list[str]:
     """The count bound |#K - main term| <= error bound, exact rationals."""
-    failures = []
     cfg = SearchConfig(max_ell=max_ell, workers=workers, checkpoint_path=checkpoint_path)
-    primes_seen = 0
-    for rep in census(cfg):
-        primes_seen += 1
-        if not rep.within_bound:  # census raises first; belt and braces
-            failures.append(f"ell={rep.ctx.ell}: count {rep.count} out of bound")
-    if primes_seen == 0:
-        failures.append("census produced no reports")
-    return failures
+    # census raises BoundViolation on a count outside the bound
+    if sum(1 for _ in census(cfg)) == 0:
+        return ["census produced no reports"]
+    return []
 
 
-def identities_suite(max_ell: int = 200) -> list[str]:
+def _identities_one(ell: int, cap: int) -> list[str]:
+    ctx = make_context(ell)
+    out = []
+    char = verify_character_identities(ctx, cap=cap)
+    if not char.ok:
+        out.append(
+            f"ell={ell}: character deviation "
+            f"{max(char.max_dev_orthogonality, char.max_dev_zeta, char.max_dev_eta):.3e}"
+        )
+    if ctx.beta >= 1:
+        rep = verify_bsum_identities(ctx)
+        out += [f"ell={ell}: {name} failed" for name, ok in rep.checks.items() if not ok]
+    return out
+
+
+def identities_suite(max_ell: int = 200, workers: int = 1) -> list[str]:
     """Character orthogonality, indicator expansions, and the exact
     rational identities behind the count."""
-    failures = []
-    for ell in _odd_primes(max_ell):
-        ctx = make_context(ell)
-        char = verify_character_identities(ctx, cap=max_ell)
-        if not char.ok:
-            failures.append(
-                f"ell={ell}: character deviation "
-                f"{max(char.max_dev_orthogonality, char.max_dev_zeta, char.max_dev_eta):.3e}"
-            )
-        if ctx.beta >= 1:
-            rep = verify_bsum_identities(ctx)
-            for name, ok in rep.checks.items():
-                if not ok:
-                    failures.append(f"ell={ell}: {name} failed")
-    return failures
+    return _per_prime(partial(_identities_one, cap=max_ell), max_ell, workers)
 
 
 def _rankformula_one(ell: int) -> list[str]:

@@ -1,11 +1,12 @@
-"""The names the benchmark's tracer looks up in the library still exist.
+"""The names the benchmark looks up in the library still exist.
 
 `bench/tracing.py` finds each traced function with `getattr` on
-`demjanenko.<module>`, and the bench tests call `exact_rank(dm, cap)`
-positionally; a rename or deletion would otherwise surface only in a
-traced benchmark run.
+`demjanenko.<module>`, the other bench files read `<module>.<name>`
+attributes, and the bench tests call `exact_rank(dm, cap)` positionally;
+a rename or deletion would otherwise surface only in a benchmark run.
 """
 
+import ast
 import importlib
 import sys
 import types
@@ -17,7 +18,9 @@ from demjanenko.arith import make_context
 from demjanenko.errors import DimensionTooLarge
 from demjanenko.matrix import build_matrix, exact_rank
 
-_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+_TRACING = _BENCH / "tracing.py"
+_LAYERS = {"arith", "singular", "search", "matrix", "cyclotomic"}
 
 
 def test_every_traced_function_exists(monkeypatch):
@@ -31,6 +34,29 @@ def test_every_traced_function_exists(monkeypatch):
     for mod_name, fn_name, _ in traced:
         module = importlib.import_module(f"demjanenko.{mod_name}")
         assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
+
+
+def _bench_reads():
+    """(file, module, name) for every `<layer>.<name>` the bench reads."""
+    reads = set()
+    for path in sorted(_BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in _LAYERS
+            ):
+                reads.add((path.name, node.value.id, node.attr))
+    return reads
+
+
+def test_every_bench_attribute_exists():
+    reads = _bench_reads()
+    assert {m for _, m, _ in reads} == _LAYERS  # the parse sees every layer
+    for file, mod_name, name in sorted(reads):
+        module = importlib.import_module(f"demjanenko.{mod_name}")
+        assert hasattr(module, name), f"{file}: {mod_name}.{name}"
 
 
 def test_exact_rank_takes_cap_positionally():

@@ -68,6 +68,17 @@ def test_kset_rationals_never_floats():
             id="verify-workers-0",
         ),
         *(
+            pytest.param(
+                ["verify", "--mode", mode, "--max-ell", "30", "--workers", "0"],
+                id=f"verify-{mode}-workers-0",
+            )
+            for mode in ("oracle", "identities", "rankformula")
+        ),
+        # rho passes its work cap on a 165-digit cofactor of the resultant
+        pytest.param(
+            ["lset", "--a", "3", "--b", "2", "--d", "7", "--e", "7"], id="lset-rho-cap"
+        ),
+        *(
             pytest.param([cmd, "--ell", ell, "--k", "2"], id=f"{cmd}-ell-{ell}")
             for cmd in ("rank", "matrix")
             for ell in ("1000003", "2147483647")

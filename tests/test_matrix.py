@@ -11,8 +11,8 @@ import sympy
 from demjanenko.arith import make_context, mult_order, probable_prime
 from demjanenko.errors import DimensionTooLarge, KOutOfRange, NonIntegerRank
 from demjanenko.matrix import (
+    DemjanenkoMatrix,
     build_matrix,
-    coset_reps,
     dump_matrix,
     exact_rank,
     half_plane_set,
@@ -97,15 +97,58 @@ def certified_rank(signs: np.ndarray) -> int:
     return best
 
 
+def _old_build(ctx, k) -> DemjanenkoMatrix:
+    """The matrix as build_matrix made it before its one-pass build: the
+    members as a tuple, each cube root of unity kept in the stabilizer
+    by its own membership check, and a loop over the members that keeps
+    the first of each orbit. The independent oracle of the reps."""
+    ell = ctx.ell
+    members = tuple(j for j in range(1, ell) if k * j % ell + j < ell)
+    in_m = set(members)
+    roots = [1]
+    if (ell - 1) % 3 == 0:
+        e = (ell - 1) // 3
+        w = next(w for w in (pow(a, e, ell) for a in range(2, ell)) if w != 1)
+        roots += [w, w * w % ell]
+    elements = [w for w in roots if all(w * j % ell in in_m for j in members)]
+    reps, seen = [], set()
+    for j in members:  # members are sorted, so reps come out minimal
+        if j in seen:
+            continue
+        seen |= {w * j % ell for w in elements}
+        reps.append(j)
+    return DemjanenkoMatrix(ell=ell, k=k, reps=tuple(reps))
+
+
+def test_build_matrix_matches_old_construction():
+    for ell in sympy.primerange(3, 201):
+        ctx = make_context(ell)
+        for k in range(1, ell - 1):
+            assert build_matrix(ctx, k) == _old_build(ctx, k), (ell, k)
+
+
+def test_build_matrix_matches_old_construction_up_to_cap():
+    # (ell-1)/6 <= 600 admits every ell < 3607; each prime gets the two
+    # k with k^2+k+1 = 0 (|W| = 3) when ell = 1 mod 3, and four random k
+    rng = random.Random(7)
+    primes = [int(p) for p in sympy.primerange(201, 3607)]
+    for ell in rng.sample(primes, 12):
+        ctx = make_context(ell)
+        roots = [k for k in range(1, ell - 1) if (k * k + k + 1) % ell == 0]
+        for k in roots + rng.sample(range(1, ell - 1), 4):
+            assert build_matrix(ctx, k) == _old_build(ctx, k), (ell, k)
+
+
 @pytest.mark.parametrize("ell", [5, 7, 13, 31, 61])
 def test_half_plane_set_size_and_definition(ell):
     ctx = make_context(ell)
     for k in range(1, ell - 1):
-        hps = half_plane_set(ctx, k)
-        assert len(hps.members) == (ell - 1) // 2
-        for j in range(1, ell):
-            lhs = _frac(k * j, ell) + _frac(j, ell) < 1
-            assert (j in hps.members) == lhs
+        mask = half_plane_set(ctx, k)
+        assert mask.shape == (ell,)
+        assert mask.sum() == (ell - 1) // 2
+        for j in range(ell):
+            lhs = j > 0 and _frac(k * j, ell) + _frac(j, ell) < 1
+            assert mask[j] == lhs
 
 
 def test_k_range_enforced():
@@ -124,35 +167,33 @@ def test_stabilizer_size_matches_root_condition(ell):
     for k in range(1, ell - 1):
         stab = stabilizer(half_plane_set(ctx, k))
         expect = 3 if (k * k + k + 1) % ell == 0 else 1
-        assert len(stab.elements) == expect
-        assert 1 in stab.elements
+        assert len(stab) == expect
+        assert 1 in stab
 
 
-def _stabilizer_all_units(hps) -> tuple[int, ...]:
+def _stabilizer_all_units(mask) -> tuple[int, ...]:
     """The setwise stabilizer by testing every unit; the exact oracle."""
-    ell = hps.ell
-    in_m = np.zeros(ell, dtype=bool)
-    in_m[list(hps.members)] = True
+    ell = mask.size
     w = np.arange(1, ell, dtype=np.int64)
-    images = np.outer(w, np.array(hps.members, dtype=np.int64)) % ell
-    return tuple(int(x) for x in w[in_m[images].all(axis=1)])
+    images = np.outer(w, np.flatnonzero(mask)) % ell
+    return tuple(int(x) for x in w[mask[images].all(axis=1)])
 
 
 def test_stabilizer_matches_all_units_scan():
     for ell in sympy.primerange(3, 201):
         ctx = make_context(ell)
         for k in range(1, ell - 1):
-            hps = half_plane_set(ctx, k)
-            assert stabilizer(hps).elements == _stabilizer_all_units(hps), (ell, k)
+            mask = half_plane_set(ctx, k)
+            assert stabilizer(mask) == _stabilizer_all_units(mask), (ell, k)
 
 
 def test_stabilizer_elements_fix_the_set():
     ctx = make_context(13)
-    hps = half_plane_set(ctx, 3)  # 3^2+3+1 = 13
-    stab = stabilizer(hps)
-    assert len(stab.elements) == 3
-    members = set(hps.members)
-    for w in stab.elements:
+    mask = half_plane_set(ctx, 3)  # 3^2+3+1 = 13
+    stab = stabilizer(mask)
+    assert len(stab) == 3
+    members = set(np.flatnonzero(mask).tolist())
+    for w in stab:
         assert {w * j % 13 for j in members} == members
 
 
@@ -160,18 +201,18 @@ def test_stabilizer_elements_fix_the_set():
 def test_coset_reps_partition(ell):
     ctx = make_context(ell)
     for k in range(1, ell - 1):
-        hps = half_plane_set(ctx, k)
-        stab = stabilizer(hps)
-        reps = coset_reps(hps, stab)
-        assert len(reps) * len(stab.elements) == len(hps.members)
+        mask = half_plane_set(ctx, k)
+        stab = stabilizer(mask)
+        reps = build_matrix(ctx, k).reps
+        assert len(reps) * len(stab) == mask.sum()
         assert list(reps) == sorted(reps)
         seen = set()
         for r in reps:
-            orbit = {w * r % ell for w in stab.elements}
+            orbit = {w * r % ell for w in stab}
             assert r == min(orbit)
             assert not orbit & seen
             seen |= orbit
-        assert seen == set(hps.members)
+        assert seen == set(np.flatnonzero(mask).tolist())
 
 
 def test_matrix_small_hand_oracle():
@@ -187,12 +228,10 @@ def test_matrix_small_hand_oracle():
             assert dm.signs[i, j] == expected
 
 
-def _signs_from_membership(hps, reps) -> np.ndarray:
+def _signs_from_membership(in_m, reps) -> np.ndarray:
     """The sign matrix as build_matrix made it before it kept only the
     reps: -1 where -c^{-1}a mod ell lies in the half-plane set."""
-    ell = hps.ell
-    in_m = np.zeros(ell, dtype=bool)
-    in_m[list(hps.members)] = True
+    ell = in_m.size
     r = np.array(reps, dtype=np.int64)
     inv = np.array([pow(c, -1, ell) for c in reps], dtype=np.int64)
     return np.where(in_m[-np.outer(inv, r) % ell], -1, 1)
@@ -330,20 +369,20 @@ def test_orders_on_reps_well_defined():
     # multiplying a rep by a stabilizer element permutes rows consistently:
     # the matrix entry only depends on the cosets
     ctx = make_context(13)
-    hps = half_plane_set(ctx, 3)
-    stab = stabilizer(hps)
-    in_m = set(hps.members)
-    for c in hps.members:
-        for a in hps.members:
-            base = (-pow(c, -1, 13) * a) % 13 in in_m
-            for w in stab.elements:
+    mask = half_plane_set(ctx, 3)
+    stab = stabilizer(mask)
+    members = np.flatnonzero(mask).tolist()
+    for c in members:
+        for a in members:
+            base = mask[(-pow(c, -1, 13) * a) % 13]
+            for w in stab:
                 cw = c * w % 13
-                assert ((-pow(cw, -1, 13) * a) % 13 in in_m) == base
+                assert mask[(-pow(cw, -1, 13) * a) % 13] == base
 
 
 def test_mult_order_consistency_with_stabilizer():
     # the nontrivial stabilizer element has order 3
     ctx = make_context(13)
     stab = stabilizer(half_plane_set(ctx, 3))
-    others = [w for w in stab.elements if w != 1]
+    others = [w for w in stab if w != 1]
     assert all(mult_order(w, ctx).order == 3 for w in others)

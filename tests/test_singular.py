@@ -23,7 +23,7 @@ from demjanenko.singular import (
     verify_character_identities,
 )
 from demjanenko.search import sieve_primes
-from demjanenko.verify import k_set_oracle
+from demjanenko.verify import identities_suite, k_set_oracle
 
 
 def _valuation(n, p):
@@ -263,6 +263,12 @@ def test_bsum_identities(ell):
     else:
         assert not rep.checks["b_minus_one_closed_form"]
         assert rep.b_minus_one == 0
+
+
+def test_identities_suite_same_on_a_pool():
+    serial = identities_suite(60)
+    assert serial  # the k = -1 closed form fails at the alpha >= 2 primes
+    assert identities_suite(60, workers=2) == serial
 
 
 def test_bsum_requires_beta_positive():
