@@ -250,18 +250,18 @@ def primitive_root(ctx: PrimeContext) -> int:
 
 def _power_table(g: int, n: int, ell: int) -> np.ndarray:
     """g^j mod ell for j in [0, n), by doubling: each pass multiplies the
-    filled prefix by the next power. Requires ell < 2^31 so products fit
-    in int64."""
+    filled prefix by the next power, in place. Requires ell < 2^31 so
+    products fit in int64."""
     if ell >= 1 << 31:
         raise RangeExceeded(f"power table needs ell < 2^31, got {ell}")
     powers = np.empty(n, dtype=np.int64)
     powers[0] = 1
     size = 1
     while size < n:
-        step = int(powers[size - 1]) * g % ell
-        chunk = min(size, n - size)
-        powers[size:size + chunk] = powers[:chunk] * step % ell
-        size += chunk
+        out = powers[size:2 * size]
+        np.multiply(powers[:out.size], int(powers[size - 1]) * g % ell, out=out)
+        np.remainder(out, ell, out=out)
+        size *= 2
     return powers
 
 
@@ -281,19 +281,27 @@ def index_table(ctx: PrimeContext) -> np.ndarray:
     return ind
 
 
+def nu3_levels(n: int, beta: int) -> np.ndarray:
+    """int8 table of min(nu_3(j), beta) for j in [0, n); j = 0 maps to beta."""
+    v3 = np.zeros(n, dtype=np.int8)
+    for e in range(1, beta + 1):
+        v3[:: 3**e] += 1
+    return v3
+
+
 def odd_subgroup_tables(ctx: PrimeContext) -> tuple[np.ndarray, np.ndarray]:
-    """Powers and logs over the subgroup of units of odd order.
+    """Powers and 3-adic levels over the subgroup of units of odd order.
 
     With g the smallest primitive root, h = g^(2^alpha) generates the
-    n0 = (ell-1)/2^alpha units of odd order. Returns (powers, log):
-    powers[j] = h^j for j in [0, n0), and the int32 table log of size ell
-    with log[h^j] = j and log[x] = -1 for x = 0 and every x of even order.
-    Requires ell < 2^31.
+    n0 = (ell-1)/2^alpha units of odd order. Returns (powers, level):
+    powers[j] = h^j for j in [0, n0), and the int8 table level of size
+    ell with level[h^j] = min(nu_3(j), beta) = beta - nu_3(ord h^j) and
+    level[x] = -1 for x = 0 and every x of even order. Requires ell < 2^31.
     """
     ell = ctx.ell
     n0 = (ell - 1) >> ctx.alpha
     h = pow(primitive_root(ctx), 1 << ctx.alpha, ell)
     powers = _power_table(h, n0, ell)
-    log = np.full(ell, -1, dtype=np.int32)
-    log[powers] = np.arange(n0, dtype=np.int32)
-    return powers, log
+    level = np.full(ell, -1, dtype=np.int8)
+    level[powers] = nu3_levels(n0, ctx.beta)
+    return powers, level

@@ -139,6 +139,8 @@ def rank(ell, k, fmt):
 @click.option("--checkpoint", type=click.Path(), default=None)
 def verify_cmd(mode, max_ell, workers, checkpoint):
     """Run one cross-checking suite; exit 1 if any check fails."""
+    if max_ell < 3:
+        raise ValueError("--max-ell must be at least 3")
     if mode == "oracle":
         failures = verify.oracle_suite(max_ell, workers=workers)
     elif mode == "theorem1":
@@ -167,6 +169,8 @@ def _fact_str(factors) -> str:
 def table1(skip_s6, limit_s6):
     """Smallest empty-set primes by number of factors of ell-1;
     exits 1 on mismatch with the embedded expected values."""
+    if limit_s6 < 3:
+        raise ValueError("--limit-s6 must be at least 3")
     mismatch = False
     top = 5 if skip_s6 else 6
     for s in range(3, top + 1):

@@ -2,10 +2,10 @@
 
 Membership of k in the singular set is decided by three conditions on
 the multiplicative orders of k, -k^2-k and k^2+k. This module computes
-the set in one vectorized pass over the odd-order subgroup, its count
-against the asymptotic main term, the lcm statistic controlling the
-rank defect, and numerically verifies the character-sum identities
-behind the count.
+the set in one vectorized pass over the odd-order subgroup with one int8
+table of 3-adic levels, its count against the asymptotic main term, the
+lcm statistic controlling the rank defect, and numerically verifies the
+character-sum identities behind the count.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .arith import (
     check_k,
     index_table,
     mult_order,
+    nu3_levels,
     odd_subgroup_tables,
 )
 from .errors import BetaZero, CapExceeded, HOutOfRange
@@ -116,24 +117,19 @@ def error_bound(ctx: PrimeContext) -> Fraction:
     return 4 * ctx.beta**2 * sqrt_upper(ctx.ell) + Fraction(33, 16)
 
 
-def _nu3_table(n: int, beta: int) -> np.ndarray:
-    """int8 table of min(nu_3(j), beta) for j in [0, n); j = 0 maps to beta."""
-    v3 = np.zeros(n, dtype=np.int8)
-    for e in range(1, beta + 1):
-        v3[:: 3**e] += 1
-    return v3
-
-
 def k_set(ctx: PrimeContext, scan_cap: int = 1 << 26) -> KSetReport:
     """All k in [1, ell-2] passing the criterion, with the count report.
 
     One vectorized pass over the odd-order subgroup, k = h^j with h of
     order n0 = (ell-1)/2^alpha: every singular k has odd order, so it
-    lies there. With the subgroup log L (-1 off the subgroup), the
-    conditions read (i) j not in {n0/3, 2n0/3}, (ii) L[-k^2-k] >= 0 and
-    (iii) min(nu_3(j), beta) < min(nu_3(L[-k^2-k]), beta), because
-    nu_3(ord h^j) = beta - min(nu_3(j), beta) and -1, of order 2, leaves
-    the 3-part of an order alone. Agrees with criterion() for every k.
+    lies there. With v3[j] = min(nu_3(j), beta) = beta - nu_3(ord h^j)
+    and the int8 table level (v3 of the subgroup log, -1 off it, so
+    failing against v3 >= 0), the conditions read (i) j not in {n0/3,
+    2n0/3} and (ii)+(iii) v3[j] < level[-k^2-k], since -1, of order 2,
+    leaves the 3-part of an order alone. Agrees with criterion().
+
+    Peak memory is max(ell + 17*n0, 10*n0 + 56*count) bytes: the int64
+    powers and -k^2-k, the level table and its gather; then the members.
     """
     if ctx.beta == 0:
         members: tuple[int, ...] = ()
@@ -142,19 +138,17 @@ def k_set(ctx: PrimeContext, scan_cap: int = 1 << 26) -> KSetReport:
         if ell > scan_cap:
             raise CapExceeded(f"k_set scan of ell={ell} exceeds cap {scan_cap}")
         n0 = (ell - 1) >> ctx.alpha
-        powers, log = odd_subgroup_tables(ctx)
+        powers, level = odd_subgroup_tables(ctx)
         k = powers[1:]                   # k = h^j for j in [1, n0)
         neg = k + 1
         neg *= k
         neg %= ell
         np.subtract(ell, neg, out=neg)   # -k^2-k, a unit since k != 0, -1
-        t = log[neg]
-        del neg, log                     # free both before the filters: peak memory
-        j = np.flatnonzero(t >= 0) + 1   # (ii): -k^2-k has odd order
-        t = t[j - 1]
-        v3 = _nu3_table(n0, ctx.beta)
-        hit = (v3[j] < v3[t]) & (3 * j != n0) & (3 * j != 2 * n0)
-        members = tuple(np.sort(powers[j[hit]]).tolist())
+        neg_level = level[neg]
+        del neg, level                   # free both before the filters: peak memory
+        hit = nu3_levels(n0, ctx.beta)[1:] < neg_level
+        hit[n0 // 3 - 1] = hit[2 * n0 // 3 - 1] = False  # (i); 3 | n0 as beta >= 1
+        members = tuple(np.sort(k[hit]).tolist())
     return KSetReport(
         ctx=ctx,
         members=members,

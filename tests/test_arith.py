@@ -167,19 +167,19 @@ def test_index_table_orders_agree():
         assert int(orders[u - 1]) == mult_order(u, ctx).order
 
 
-@pytest.mark.parametrize("ell", [7, 13, 31, 97, 211, 257, 7681])
+@pytest.mark.parametrize("ell", [7, 13, 31, 97, 211, 257, 7681, 995329])
 def test_odd_subgroup_tables(ell):
     ctx = make_context(ell)
     n0 = (ell - 1) >> ctx.alpha
-    powers, log = odd_subgroup_tables(ctx)
-    assert powers.shape == (n0,) and log.shape == (ell,) and log.dtype == np.int32
-    # powers walk the odd-order units once each; log inverts them
-    assert sorted(int(x) for x in powers) == [
-        u for u in range(1, ell) if mult_order(u, ctx).nu2 == 0
-    ]
+    powers, level = odd_subgroup_tables(ctx)
+    assert powers.shape == (n0,) and level.shape == (ell,) and level.dtype == np.int8
+    # n0 distinct units with x^n0 = 1 are the whole subgroup of odd order
+    assert len(set(powers.tolist())) == n0
+    assert all(pow(int(x), n0, ell) == 1 for x in powers)
     h = pow(primitive_root(ctx), 1 << ctx.alpha, ell)
     assert all(pow(h, j, ell) == int(powers[j]) for j in range(n0))
-    assert (log[powers] == np.arange(n0)).all()
+    for x in powers.tolist():
+        assert level[x] == ctx.beta - mult_order(x, ctx).nu3, x
     odd = np.zeros(ell, dtype=bool)
     odd[powers] = True
-    assert (log[~odd] == -1).all()
+    assert (level[~odd] == -1).all()

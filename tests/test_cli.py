@@ -74,6 +74,14 @@ def test_kset_rationals_never_floats():
             )
             for mode in ("oracle", "identities", "rankformula")
         ),
+        *(
+            pytest.param(
+                ["verify", "--mode", mode, "--max-ell", "2"], id=f"verify-{mode}-max-ell-2"
+            )
+            for mode in ("oracle", "theorem1", "identities", "rankformula")
+        ),
+        # rejected before s = 3..5 run, so no row precedes the error
+        pytest.param(["table1", "--limit-s6", "2"], id="table1-limit-s6-2"),
         # rho passes its work cap on a 165-digit cofactor of the resultant
         pytest.param(
             ["lset", "--a", "3", "--b", "2", "--d", "7", "--e", "7"], id="lset-rho-cap"

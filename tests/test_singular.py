@@ -1,11 +1,20 @@
 """Order criterion, count report, and the identity suites."""
 
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from demjanenko.arith import index_table, make_context, mult_order
+from demjanenko.arith import (
+    index_table,
+    is_prime,
+    make_context,
+    mult_order,
+    odd_subgroup_tables,
+    valuation,
+)
 from demjanenko.errors import BetaZero, CapExceeded, HOutOfRange, KOutOfRange
 from demjanenko.singular import (
     a0_closed_form,
@@ -138,6 +147,64 @@ def test_k_set_edge_primes_match_full_scan(ell, alpha, beta):
     ctx = make_context(ell)
     assert (ctx.alpha, ctx.beta) == (alpha, beta)
     assert k_set(ctx).members == _full_scan_members(ctx)
+
+
+def _int32_log_members(ctx) -> tuple[int, ...]:
+    """The singular set by the earlier odd-subgroup kernel: an int32
+    subgroup log table, a second gather into the 3-adic levels, and the
+    cube roots removed by their log; the oracle for the int8 level table."""
+    if ctx.beta == 0:
+        return ()
+    ell = ctx.ell
+    n0 = (ell - 1) >> ctx.alpha
+    powers = odd_subgroup_tables(ctx)[0]
+    log = np.full(ell, -1, dtype=np.int32)
+    log[powers] = np.arange(n0, dtype=np.int32)
+    k = powers[1:]
+    neg = (ell - k * (k + 1) % ell) % ell
+    t = log[neg]
+    j = np.flatnonzero(t >= 0) + 1
+    t = t[j - 1]
+    v3 = np.zeros(n0, dtype=np.int8)
+    for e in range(1, ctx.beta + 1):
+        v3[:: 3**e] += 1
+    hit = (v3[j] < v3[t]) & (3 * j != n0) & (3 * j != 2 * n0)
+    return tuple(np.sort(powers[j[hit]]).tolist())
+
+
+def _seeded_prime(seed: int, alpha: int, beta: int, base: int = 1 << 22) -> int:
+    """A prime in [base, base * (1 + 1/64)) with 2^alpha || ell-1, 3^beta || ell-1."""
+    rng = random.Random(seed)
+    while True:
+        ell = base + rng.randrange(base // 64)
+        if valuation(ell - 1, 2) == alpha and valuation(ell - 1, 3) == beta and is_prime(ell):
+            return ell
+
+
+@pytest.mark.parametrize(
+    "ell",
+    [995329, 1048609, 39367, 1459, _seeded_prime(22, 1, 1), _seeded_prime(22, 2, 2)],
+)
+def test_k_set_matches_int32_log_kernel(ell):
+    ctx = make_context(ell)
+    assert k_set(ctx).members == _int32_log_members(ctx)
+
+
+def test_k_set_peak_memory():
+    # live arrays at the peak: the int64 powers and -k^2-k (8*n0 each), the
+    # int8 level table (ell) and its gather (n0); afterwards the members
+    # cost 10*n0 plus 8 + 8 + 8 + 32 bytes each (sorted array, list, tuple, int)
+    ctx = make_context(_seeded_prime(22, 1, 1))
+    assert ctx.alpha == 1
+    ell, n0 = ctx.ell, (ctx.ell - 1) >> 1
+    k_set(make_context(19))  # lazy set-up outside the measurement
+    tracemalloc.start()
+    try:
+        count = k_set(ctx).count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(ell + 17 * n0, 10 * n0 + 56 * count) + 4096, (ell, peak)
 
 
 def test_k_set_beta_zero_is_empty():
