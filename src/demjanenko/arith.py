@@ -1,13 +1,15 @@
 """Integer and modular arithmetic kernels.
 
 Primality, factorization, multiplicative orders with their 2-adic and
-3-adic valuations, canonical representatives, and discrete-log tables.
+3-adic valuations, canonical representatives, discrete-log tables, and
+the check of a table's peak memory against the machine's.
 All functions here are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,9 @@ _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # increments mod 30 starting from 7
 # so it admits about 2^28/63 > 4e6 squarings below 2^63 (where rho needs
 # about 1e5 on a balanced semiprime) and far fewer on huge numbers.
 _RHO_WORK_CAP = 1 << 28
+
+# Physical memory of the machine in bytes, read once at import.
+PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,15 @@ class OrderProfile:
     order: int
     nu2: int
     nu3: int
+
+
+def check_memory(peak: int, what: str) -> None:
+    """Refuse with CapExceeded a computation whose peak of `peak` bytes
+    exceeds the machine's physical memory; call it before allocating."""
+    if peak > PHYSICAL_MEMORY:
+        raise CapExceeded(
+            f"{what} needs {peak} bytes, over the {PHYSICAL_MEMORY} bytes of physical memory"
+        )
 
 
 def valuation(n: int, p: int) -> int:

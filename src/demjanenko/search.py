@@ -10,14 +10,21 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import ExitStack
+from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterator
 
 import numpy as np
 
-from .arith import context_from_factors, factorize, make_context, primitive_root, probable_prime
+from .arith import (
+    check_memory,
+    context_from_factors,
+    factorize,
+    make_context,
+    primitive_root,
+    probable_prime,
+)
 from .errors import BoundViolation, NotPrime
 from .singular import KSetReport, k_set
 
@@ -72,20 +79,37 @@ class DensityReport:
 
 
 def sieve_primes(n: int) -> np.ndarray:
-    """All primes <= n (simple Eratosthenes, numpy)."""
+    """All primes <= n (simple Eratosthenes, numpy).
+
+    Refused with CapExceeded when its peak, the mask and 8 bytes a prime
+    (pi(n) < 1.26 n/ln n), exceeds physical memory.
+    """
     if n < 2:
         return np.empty(0, dtype=np.int64)
+    check_memory(n + 1 + 16 * n // (n.bit_length() - 1), f"the sieve of primes <= {n}")
     mask = np.ones(n + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(n) + 1):
         if mask[p]:
             mask[p * p:: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    return np.nonzero(mask)[0].astype(np.int64, copy=False)
 
 
 def odd_primes(max_ell: int) -> list[int]:
     """The odd primes <= max_ell, as Python ints."""
     return [int(p) for p in sieve_primes(max_ell) if p >= 3]
+
+
+@contextmanager
+def ordered_map(fn, items: list, workers: int) -> Iterator[Iterator]:
+    """The results of fn over items, in order: streamed from a pool of
+    `workers` processes when there are more than one worker and one item,
+    else computed here. The pool closes when the block exits."""
+    if workers > 1 and len(items) > 1:
+        with Pool(workers) as pool:
+            yield pool.imap(fn, items)
+    else:
+        yield map(fn, items)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +191,9 @@ def census(cfg: SearchConfig) -> Iterator[KSetReport]:
     """One report per odd prime <= max_ell, ascending; raises loudly if
     any count escapes the proven bound.
 
-    Shards of 512 primes stream in order (ordered Pool.imap when
-    workers > 1), and each shard's checkpoint line is appended right
-    after its reports, so an interrupted run keeps every finished shard.
+    Shards of 512 primes stream in order through ordered_map, and each
+    shard's checkpoint line is appended right after its reports, so an
+    interrupted run keeps every finished shard.
     """
     primes = odd_primes(cfg.max_ell)
     shard = 512
@@ -180,12 +204,7 @@ def census(cfg: SearchConfig) -> Iterator[KSetReport]:
         return (chunk[0], chunk[-1] + 1)
 
     todo = [c for c in chunks if bounds(c) not in done]
-    with ExitStack() as stack:
-        if cfg.workers > 1 and len(todo) > 1:
-            pool = stack.enter_context(Pool(cfg.workers))
-            results = pool.imap(_census_chunk, todo)
-        else:
-            results = map(_census_chunk, todo)
+    with ordered_map(_census_chunk, todo, cfg.workers) as results:
         for chunk, reports in zip(todo, results):
             for rep in reports:
                 if not rep.within_bound:

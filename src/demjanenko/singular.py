@@ -4,8 +4,8 @@ Membership of k in the singular set is decided by three conditions on
 the multiplicative orders of k, -k^2-k and k^2+k. This module computes
 the set in one vectorized pass over the odd-order subgroup with one int8
 table of 3-adic levels, its count against the asymptotic main term, the
-lcm statistic controlling the rank defect, and numerically verifies the
-character-sum identities behind the count.
+lcm statistic controlling the rank defect, and verifies the
+character-sum identities behind the count exactly, in integers.
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ from .arith import (
     OrderProfile,
     PrimeContext,
     check_k,
+    check_memory,
     index_table,
     mult_order,
     nu3_levels,
     odd_subgroup_tables,
 )
-from .errors import BetaZero, CapExceeded, HOutOfRange
+from .errors import BetaZero, HOutOfRange
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ def error_bound(ctx: PrimeContext) -> Fraction:
     return 4 * ctx.beta**2 * sqrt_upper(ctx.ell) + Fraction(33, 16)
 
 
-def k_set(ctx: PrimeContext, scan_cap: int = 1 << 26) -> KSetReport:
+def k_set(ctx: PrimeContext) -> KSetReport:
     """All k in [1, ell-2] passing the criterion, with the count report.
 
     One vectorized pass over the odd-order subgroup, k = h^j with h of
@@ -130,14 +131,15 @@ def k_set(ctx: PrimeContext, scan_cap: int = 1 << 26) -> KSetReport:
 
     Peak memory is max(ell + 17*n0, 10*n0 + 56*count) bytes: the int64
     powers and -k^2-k, the level table and its gather; then the members.
+    A scan whose first peak exceeds physical memory is refused with
+    CapExceeded before anything is built.
     """
     if ctx.beta == 0:
         members: tuple[int, ...] = ()
     else:
         ell = ctx.ell
-        if ell > scan_cap:
-            raise CapExceeded(f"k_set scan of ell={ell} exceeds cap {scan_cap}")
         n0 = (ell - 1) >> ctx.alpha
+        check_memory(ell + 17 * n0, f"the k_set scan of ell={ell}")
         powers, level = odd_subgroup_tables(ctx)
         k = powers[1:]                   # k = h^j for j in [1, n0)
         neg = k + 1
@@ -183,81 +185,59 @@ def indicator_eta(ctx: PrimeContext, u: int, h: int) -> int:
 # Character-sum verification
 
 
-@dataclass(frozen=True)
-class CharacterReport:
-    ell: int
-    tolerance: float
-    max_dev_orthogonality: float
-    max_dev_zeta: float
-    max_dev_eta: float
+def verify_character_identities(ctx: PrimeContext) -> list[str]:
+    """Exact check, at every unit u, of the character identities behind
+    the count; returns the failures, [] when all hold.
 
-    @property
-    def ok(self) -> bool:
-        return (
-            max(self.max_dev_orthogonality, self.max_dev_zeta, self.max_dev_eta)
-            < self.tolerance
-        )
+    The characters of order dividing d | n = ell-1 are chi_c(u) =
+    zeta_d^(c ind(u)), c in [0, d), ind the log to the smallest primitive
+    root g; S_d(u) is their sum: d where d | ind(u), as each term is 1,
+    else 0. Both are checked mod ell at every u: at the prime above ell
+    where zeta_n = g, chi_c(u) reduces to g^(c ind(u) n/d) = u^(c n/d), the
+    Teichmueller reduction of `exact_rank`, summed term by term (so a wrong
+    log fails). The 0 lifts: conjugation multiplies ind(u) by a unit mod d,
+    so the sweep over all u puts S_d(u) in every prime above ell, hence in
+    ell Z[zeta_d]; with |S_d| <= d < ell on every conjugate, the norm of
+    S_d(u)/ell is an integer below 1 in size, so S_d(u) = 0.
 
-
-def verify_character_identities(
-    ctx: PrimeContext, tolerance: float = 1e-9, cap: int = 200
-) -> CharacterReport:
-    """Realize the character group explicitly and check, for every unit u:
-    the divisor orthogonality relation, the character average for the
-    odd-order indicator, and the two-term expression for the 3-adic
-    level indicators.
+    Against the orders from `mult_order`, denominators cleared: S_d(u) =
+    d [ord u | n/d] for every d | n; S_(2^alpha)(u) = 2^alpha [ord u odd];
+    and for h in [0, beta], with d = 3^(beta-h), (2 + [h = 0]) +
+    3 (S_d - 1) - (S_3d - 1) = 3d [nu_3(ord u) = h], the last term 0 at
+    h = 0, where no character has order 3^(beta+1).
     """
     ell, alpha, beta = ctx.ell, ctx.alpha, ctx.beta
-    if ell > cap:
-        raise CapExceeded(f"character verification capped at ell <= {cap}")
     n = ell - 1
-    ind = index_table(ctx)[1:]  # log of u = 1..ell-1
-    orders = n // np.gcd(ind, n)
+    ind = index_table(ctx)[1:]  # log of u = 1..n
+    profiles = [mult_order(u, ctx) for u in range(1, ell)]
+    orders, nu3 = np.array([(p.order, p.nu3) for p in profiles], dtype=np.int64).T
 
     def char_sum(d: int) -> np.ndarray:
-        # sum over the d characters of order dividing d, at every u
-        c = np.arange(d)
-        phases = np.exp(2j * math.pi * np.outer(c * (n // d), ind) / n)
-        return phases.sum(axis=0)
+        return np.where(ind % d == 0, d, 0)  # S_d, certified below for every d | n
 
-    dev_orth = 0.0
-    for t in _divisors(n):
-        d = n // t
-        lhs = char_sum(d) / d
-        rhs = (np.int64(t) % orders == 0).astype(float)  # u^t = 1 iff ord | t
-        dev_orth = max(dev_orth, float(np.abs(lhs - rhs).max()))
+    failures = []
+    for d in _divisors(n):
+        step = np.array([pow(u, n // d, ell) for u in range(1, ell)])  # chi_1(u), reduced
+        term, reduced = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        for _ in range(d):
+            reduced += term
+            term = term * step % ell
+        s = char_sum(d)
+        if not np.array_equal(reduced % ell, s):
+            failures.append(f"S_{d} differs mod {ell} from its sum of character values")
+        if not np.array_equal(s, d * (n // d % orders == 0)):
+            failures.append(f"orthogonality fails for the characters of order dividing {d}")
 
     two = 1 << alpha
-    zeta_lhs = char_sum(two) / two
-    zeta_rhs = (orders % 2 == 1).astype(float)
-    dev_zeta = float(np.abs(zeta_lhs - zeta_rhs).max())
-
-    dev_eta = 0.0
-    nu3 = np.zeros(n, dtype=np.int64)
-    o = orders.copy()
-    while (o % 3 == 0).any():
-        mask = o % 3 == 0
-        nu3 += mask
-        o[mask] //= 3
+    if not np.array_equal(char_sum(two), two * (orders % 2)):
+        failures.append("the odd-order indicator is not its character average")
     for h in range(beta + 1):
-        theta = 1 if h == 0 else 0
         d1 = 3 ** (beta - h)
-        s1 = char_sum(d1) - 1.0  # non-principal part
-        if h == 0:
-            s2 = np.zeros(n)  # characters of order 3^{beta+1} do not exist
-        else:
-            s2 = char_sum(3 ** (beta - h + 1)) - 1.0
-        lhs = (2 + theta) / (3 ** (beta - h + 1)) + s1 / d1 - s2 / (3 ** (beta - h + 1))
-        rhs = (nu3 == h).astype(float)
-        dev_eta = max(dev_eta, float(np.abs(lhs - rhs).max()))
-
-    return CharacterReport(
-        ell=ell,
-        tolerance=tolerance,
-        max_dev_orthogonality=dev_orth,
-        max_dev_zeta=dev_zeta,
-        max_dev_eta=dev_eta,
-    )
+        s2 = char_sum(3 * d1) - 1 if h else 0
+        lhs = 2 + (h == 0) + 3 * (char_sum(d1) - 1) - s2
+        if not np.array_equal(lhs, 3 * d1 * (nu3 == h)):
+            failures.append(f"the level-{h} indicator is not its character expansion")
+    return failures
 
 
 def _divisors(n: int) -> list[int]:

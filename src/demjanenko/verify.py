@@ -6,13 +6,10 @@ the property held everywhere in range.
 
 from __future__ import annotations
 
-from functools import partial
-from multiprocessing import Pool
-
 from .arith import PrimeContext, make_context
 from .errors import NonIntegerRank
 from .matrix import build_matrix, exact_rank, rank_formula_value
-from .search import SearchConfig, census, odd_primes
+from .search import SearchConfig, census, odd_primes, ordered_map
 from .singular import k_set, m_value, verify_bsum_identities, verify_character_identities
 
 
@@ -21,13 +18,8 @@ def _per_prime(check, max_ell: int, workers: int) -> list[str]:
     max_ell, on a pool of `workers` processes when there is more than one."""
     if workers < 1:
         raise ValueError("workers must be positive")
-    primes = odd_primes(max_ell)
-    if workers > 1:
-        with Pool(workers) as pool:
-            chunks = pool.map(check, primes)
-    else:
-        chunks = map(check, primes)
-    return [msg for chunk in chunks for msg in chunk]
+    with ordered_map(check, odd_primes(max_ell), workers) as chunks:
+        return [msg for chunk in chunks for msg in chunk]
 
 
 def k_set_oracle(ctx: PrimeContext) -> list[int]:
@@ -69,25 +61,19 @@ def theorem1_suite(
     return []
 
 
-def _identities_one(ell: int, cap: int) -> list[str]:
+def _identities_one(ell: int) -> list[str]:
     ctx = make_context(ell)
-    out = []
-    char = verify_character_identities(ctx, cap=cap)
-    if not char.ok:
-        out.append(
-            f"ell={ell}: character deviation "
-            f"{max(char.max_dev_orthogonality, char.max_dev_zeta, char.max_dev_eta):.3e}"
-        )
+    out = verify_character_identities(ctx)
     if ctx.beta >= 1:
         rep = verify_bsum_identities(ctx)
-        out += [f"ell={ell}: {name} failed" for name, ok in rep.checks.items() if not ok]
-    return out
+        out += [f"{name} failed" for name, ok in rep.checks.items() if not ok]
+    return [f"ell={ell}: {msg}" for msg in out]
 
 
 def identities_suite(max_ell: int = 200, workers: int = 1) -> list[str]:
     """Character orthogonality, indicator expansions, and the exact
     rational identities behind the count."""
-    return _per_prime(partial(_identities_one, cap=max_ell), max_ell, workers)
+    return _per_prime(_identities_one, max_ell, workers)
 
 
 def _rankformula_one(ell: int) -> list[str]:

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demjanenko import arith
 from demjanenko.cli import main
 
 runner = CliRunner()
@@ -61,7 +62,15 @@ def test_kset_rationals_never_floats():
     "args",
     [
         pytest.param(["kset", "--ell", "32"], id="kset-composite"),
+        # a 0.7 GB scan, past the 512 MiB machine below
         pytest.param(["kset", "--ell", "134217757"], id="kset-over-scan-cap"),
+        # sieves of about 1.4 TB
+        pytest.param(["census", "--max-ell", "1000000000000"], id="census-huge-max-ell"),
+        pytest.param(["density", "--x", "1000000000000"], id="density-huge-x"),
+        pytest.param(
+            ["verify", "--mode", "oracle", "--max-ell", "1000000000000"],
+            id="verify-oracle-huge-max-ell",
+        ),
         pytest.param(["census", "--max-ell", "50", "--workers", "0"], id="census-workers-0"),
         pytest.param(
             ["verify", "--mode", "theorem1", "--max-ell", "50", "--workers", "0"],
@@ -93,7 +102,9 @@ def test_kset_rationals_never_floats():
         ),
     ],
 )
-def test_usage_error_exits_2(args):
+def test_usage_error_exits_2(args, monkeypatch):
+    # refusals on memory must not depend on the machine the tests run on
+    monkeypatch.setattr(arith, "PHYSICAL_MEMORY", 1 << 29)
     res = runner.invoke(main, args)
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)  # caught, not escaped

@@ -3,9 +3,9 @@
 import pytest
 import sympy
 
-from demjanenko import search
+from demjanenko import arith, search
 from demjanenko.arith import make_context
-from demjanenko.errors import NotPrime
+from demjanenko.errors import CapExceeded, NotPrime
 from demjanenko.search import (
     SearchConfig,
     append_checkpoint,
@@ -16,6 +16,7 @@ from demjanenko.search import (
     k_set_is_empty,
     k_witness,
     lbm_scan,
+    ordered_map,
     read_checkpoint,
     sieve_primes,
 )
@@ -26,6 +27,23 @@ def test_sieve_primes():
     assert list(sieve_primes(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert list(sieve_primes(1)) == []
     assert list(sieve_primes(5000)) == list(sympy.primerange(2, 5001))
+
+
+def test_sieve_primes_refuses_past_physical_memory(monkeypatch):
+    # the bound of the peak at n = 5000: 5001 bytes of mask, 16n/12 for the primes
+    peak = 5001 + 16 * 5000 // 12
+    monkeypatch.setattr(arith, "PHYSICAL_MEMORY", peak)
+    assert len(sieve_primes(5000)) == 669
+    monkeypatch.setattr(arith, "PHYSICAL_MEMORY", peak - 1)
+    with pytest.raises(CapExceeded):
+        sieve_primes(5000)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ordered_map_keeps_order(workers):
+    items = list(range(40))
+    with ordered_map(str, items, workers) as results:
+        assert list(results) == [str(i) for i in items]
 
 
 @pytest.mark.parametrize("ell", [7, 13, 19, 31, 67, 103, 163, 271, 9907])

@@ -7,12 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from demjanenko import arith, singular
 from demjanenko.arith import (
     index_table,
     is_prime,
     make_context,
     mult_order,
     odd_subgroup_tables,
+    primitive_root,
     valuation,
 )
 from demjanenko.errors import BetaZero, CapExceeded, HOutOfRange, KOutOfRange
@@ -214,10 +216,15 @@ def test_k_set_beta_zero_is_empty():
         assert k_set(ctx).members == ()
 
 
-def test_k_set_scan_cap():
+def test_k_set_scan_cap(monkeypatch):
+    # the scan's first peak at 127681 = 2^6 * 1995 + 1 is ell + 17 * 1995 bytes
     ctx = make_context(127681)
+    peak = 127681 + 17 * 1995
+    monkeypatch.setattr(arith, "PHYSICAL_MEMORY", peak)
+    assert k_set(ctx).count == 0
+    monkeypatch.setattr(arith, "PHYSICAL_MEMORY", peak - 1)
     with pytest.raises(CapExceeded):
-        k_set(ctx, scan_cap=1000)
+        k_set(ctx)
 
 
 @pytest.mark.parametrize("ell", [7, 13, 19, 31, 37, 43, 61, 67, 73, 79])
@@ -287,17 +294,25 @@ def test_m_value():
         assert m_value(ctx, k).M == math.lcm(a, b)
 
 
-@pytest.mark.parametrize("ell", [7, 13, 31, 37, 61, 67, 97, 109, 127, 139, 151, 163, 181, 193, 199])
+# 257: 2^8 = ell-1, so d = n; 487 and 1459: beta = 5 and 6
+@pytest.mark.parametrize(
+    "ell", [7, 13, 31, 37, 61, 67, 97, 109, 127, 139, 151, 163, 181, 193, 199, 257, 487, 1459]
+)
 def test_character_identities(ell):
-    rep = verify_character_identities(make_context(ell))
-    assert rep.ok, (
-        f"deviation {max(rep.max_dev_orthogonality, rep.max_dev_zeta, rep.max_dev_eta)}"
-    )
+    assert verify_character_identities(make_context(ell)) == []
 
 
-def test_character_identities_cap():
-    with pytest.raises(CapExceeded):
-        verify_character_identities(make_context(211), cap=200)
+@pytest.mark.parametrize("ell", [7, 13, 37, 257])
+def test_character_identities_catch_a_wrong_log(ell, monkeypatch):
+    # swap the logs of 1 and of the primitive root: 1 then looks of order n
+    ctx = make_context(ell)
+    g = primitive_root(ctx)
+    ind = index_table(ctx)
+    ind[1], ind[g] = ind[g], ind[1]
+    monkeypatch.setattr(singular, "index_table", lambda _: ind)
+    failures = verify_character_identities(ctx)
+    assert f"S_{ell - 1} differs mod {ell} from its sum of character values" in failures
+    assert "the odd-order indicator is not its character average" in failures
 
 
 def test_a0_closed_form_equals_double_sum():
