@@ -2,7 +2,8 @@
 
 Primality, factorization, multiplicative orders with their 2-adic and
 3-adic valuations, canonical representatives, discrete-log tables, and
-the check of a table's peak memory against the machine's.
+the checks of a table's peak memory against the machine's and of a
+modulus against int64.
 All functions here are pure and safe to call concurrently.
 """
 
@@ -57,7 +58,6 @@ class PrimeContext:
 class OrderProfile:
     """Multiplicative order of a residue with its 2- and 3-adic valuations."""
 
-    residue: int
     order: int
     nu2: int
     nu3: int
@@ -70,6 +70,13 @@ def check_memory(peak: int, what: str) -> None:
         raise CapExceeded(
             f"{what} needs {peak} bytes, over the {PHYSICAL_MEMORY} bytes of physical memory"
         )
+
+
+def check_modulus(ell: int, what: str) -> None:
+    """Refuse with RangeExceeded a modulus ell >= 2^31, past which the
+    product of two residues can overflow int64."""
+    if ell >= 1 << 31:
+        raise RangeExceeded(f"{what} needs ell < 2^31, got {ell}")
 
 
 def valuation(n: int, p: int) -> int:
@@ -249,7 +256,7 @@ def mult_order(u: int, ctx: PrimeContext) -> OrderProfile:
     for p, _ in ctx.factors:
         while t % p == 0 and pow(r, t // p, ell) == 1:
             t //= p
-    return OrderProfile(residue=r, order=t, nu2=valuation(t, 2), nu3=valuation(t, 3))
+    return OrderProfile(order=t, nu2=valuation(t, 2), nu3=valuation(t, 3))
 
 
 def primitive_root(ctx: PrimeContext) -> int:
@@ -266,8 +273,7 @@ def _power_table(g: int, n: int, ell: int) -> np.ndarray:
     """g^j mod ell for j in [0, n), by doubling: each pass multiplies the
     filled prefix by the next power, in place. Requires ell < 2^31 so
     products fit in int64."""
-    if ell >= 1 << 31:
-        raise RangeExceeded(f"power table needs ell < 2^31, got {ell}")
+    check_modulus(ell, "the power table")
     powers = np.empty(n, dtype=np.int64)
     powers[0] = 1
     size = 1

@@ -14,9 +14,12 @@ from .errors import BoundViolation, DemjanenkoError
 TABLE1_EXPECTED = {3: 31, 4: 3121, 5: 127681, 6: 25858561}
 _TABLE1_LIMITS = {3: 10_000, 4: 10_000, 5: 200_000, 6: 26_000_000}
 
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(["plain", "json", "csv"]), default="plain"
-)
+
+def _format_option(*formats: str):
+    """--format with plain and the formats the command implements."""
+    return click.option(
+        "--format", "fmt", type=click.Choice(["plain", *formats]), default="plain"
+    )
 
 
 def _census_csv_row(rep: singular.KSetReport) -> str:
@@ -53,7 +56,7 @@ def main():
 
 @main.command()
 @click.option("--ell", type=int, required=True)
-@_format_option
+@_format_option("json", "csv")
 def kset(ell, fmt):
     """Singular-set report for one prime."""
     ctx = arith.make_context(ell)
@@ -78,7 +81,7 @@ def kset(ell, fmt):
 @click.option("--max-ell", type=int, required=True)
 @click.option("--workers", type=int, default=1)
 @click.option("--checkpoint", type=click.Path(), default=None)
-@_format_option
+@_format_option("json", "csv")
 def census(max_ell, workers, checkpoint, fmt):
     """Reports for every odd prime up to the limit."""
     if max_ell < 3:
@@ -111,7 +114,7 @@ def matrix_cmd(ell, k):
 @main.command()
 @click.option("--ell", type=int, required=True)
 @click.option("--k", type=int, required=True)
-@_format_option
+@_format_option("json")
 def rank(ell, k, fmt):
     """Exact rational rank of one matrix."""
     dm = matrix_mod.build_matrix(arith.make_context(ell), k)
@@ -141,6 +144,8 @@ def verify_cmd(mode, max_ell, workers, checkpoint):
     """Run one cross-checking suite; exit 1 if any check fails."""
     if max_ell < 3:
         raise ValueError("--max-ell must be at least 3")
+    if checkpoint is not None and mode != "theorem1":
+        raise click.BadOptionUsage("checkpoint", "--checkpoint applies only to --mode theorem1")
     if mode == "oracle":
         failures = verify.oracle_suite(max_ell, workers=workers)
     elif mode == "theorem1":
@@ -202,7 +207,7 @@ def search_712():
 @click.option("--b", type=int, required=True)
 @click.option("--d", type=int, default=1)
 @click.option("--e", type=int, default=1)
-@_format_option
+@_format_option("json")
 def lset(a, b, d, e, fmt):
     """Cyclotomic resultant record and its prime divisors."""
     rec = cyclotomic.l_set(a, b, d, e)
@@ -229,7 +234,7 @@ def lbm(beta, m, alpha_max, budget):
 
 @main.command()
 @click.option("--ell", type=int, required=True)
-@_format_option
+@_format_option("json")
 def mstats(ell, fmt):
     """lcm statistic M(k) over the singular set of one prime."""
     ctx = arith.make_context(ell)
@@ -255,7 +260,7 @@ def mstats(ell, fmt):
 
 @main.command()
 @click.option("--x", type=int, required=True)
-@_format_option
+@_format_option("json")
 def density(x, fmt):
     """Empirical census of empty-set primes up to x."""
     if x < 2:

@@ -34,7 +34,7 @@ class NoPrimitiveRoot(DemjanenkoError):
 
 
 class DimensionTooLarge(DemjanenkoError):
-    """Matrix dimension exceeds the configured exact-rank cap."""
+    """Matrix dimension exceeds the cap passed to exact_rank."""
 
 
 class NonIntegerRank(DemjanenkoError):

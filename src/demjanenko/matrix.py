@@ -8,16 +8,13 @@ is 1) is built only on demand. Scaling the rational entries
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import PrimeContext, check_k
+from .arith import PrimeContext, check_k, check_memory, check_modulus
 from .errors import DimensionTooLarge, NonIntegerRank
-
-DEFAULT_RANK_CAP = 600
-_RANK_CAP_ENV = "DEMJANENKO_EXACT_RANK_CAP"
 
 
 @dataclass(frozen=True)
@@ -34,9 +31,13 @@ class DemjanenkoMatrix:
     def signs(self) -> np.ndarray:
         """The dim x dim matrix of signs over the reps c (rows), a
         (columns): with x = -c^{-1}a mod ell, the entry is -1 iff
-        <kx> + <x> < ell, else +1. Built anew on each access, at a cost
-        of dim^2 in time and memory; `exact_rank` never reads it."""
-        ell = self.ell
+        <kx> + <x> < ell, else +1. Built anew on each access; `exact_rank`
+        never reads it. Its peak, with the grid `dump_matrix` makes of it,
+        is about 32 bytes an entry, checked against the machine before
+        anything is built."""
+        ell, dim = self.ell, self.dimension
+        check_modulus(ell, "the sign matrix")
+        check_memory(32 * dim * dim, f"the {dim} x {dim} sign matrix of ell={ell}")
         r = np.array(self.reps, dtype=np.int64)
         inv = np.array([pow(c, -1, ell) for c in self.reps], dtype=np.int64)
         x = -np.outer(inv, r) % ell
@@ -77,27 +78,20 @@ def stabilizer(mask: np.ndarray) -> tuple[int, ...]:
 def build_matrix(ctx: PrimeContext, k: int) -> DemjanenkoMatrix:
     """The matrix over the coset representatives of the half-plane set.
 
-    Every matrix of a prime ell has dimension (ell-1)/(2|W|) >= (ell-1)/6,
-    since |W| <= 3; an ell that puts that past the exact-rank cap is
-    refused before anything of size ell is allocated.
+    Peak memory is about 32 bytes per residue mod ell: the int64 mask
+    arithmetic, then up to (ell-1)/2 reps as a tuple of Python ints. It
+    is checked against the machine before anything is built, as is
+    ell < 2^31, which keeps every int64 product of residues exact.
     """
     check_k(ctx, k)
-    cap = _rank_cap()
-    if (ctx.ell - 1) // 6 > cap:
-        raise DimensionTooLarge(
-            f"ell={ctx.ell}: every matrix has dimension at least "
-            f"{(ctx.ell - 1) // 6}, over the exact-rank cap {cap}"
-        )
+    ell = ctx.ell
+    check_modulus(ell, "the Demjanenko matrix")
+    check_memory(32 * ell, f"the Demjanenko matrix of ell={ell}")
     mask = half_plane_set(ctx, k)
     reps = np.flatnonzero(mask)
     for w in stabilizer(mask)[1:]:  # keep the least member of each W-orbit
-        reps = reps[reps < w * reps % ctx.ell]
-    return DemjanenkoMatrix(ell=ctx.ell, k=k, reps=tuple(reps.tolist()))
-
-
-def _rank_cap() -> int:
-    raw = os.environ.get(_RANK_CAP_ENV)
-    return int(raw) if raw else DEFAULT_RANK_CAP
+        reps = reps[reps < w * reps % ell]
+    return DemjanenkoMatrix(ell=ell, k=k, reps=tuple(reps.tolist()))
 
 
 def rank_mod(matrix: np.ndarray, p: int) -> int:
@@ -127,7 +121,8 @@ def rank_mod(matrix: np.ndarray, p: int) -> int:
 
 
 def exact_rank(dm: DemjanenkoMatrix, cap: int | None = None) -> int:
-    """Rank of the matrix over the rationals, exact.
+    """Rank of the matrix over the rationals, exact; a `cap` on the
+    dimension, when given, is enforced with DimensionTooLarge.
 
     The rank is read from `dm.reps` of a matrix made by `build_matrix`;
     the signs array is not read. Up to row and column signs the matrix is
@@ -135,25 +130,45 @@ def exact_rank(dm: DemjanenkoMatrix, cap: int | None = None) -> int:
     function, so its eigenvalues are lambda_t = sum_r omega(r)^t over the
     reps, omega the Teichmueller character and t odd with |W| | t. At a
     prime above ell, omega(x) = x and lambda_t reduces to the power sum
-    sum_r r^t mod ell. The t with one gcd(t, ell-1) are one Galois orbit.
-    If every power sum in an orbit vanishes, ell^phi divides the norm of
-    lambda while |lambda| <= dim < ell bounds it below ell^phi, so
-    lambda = 0; otherwise lambda != 0. The rank is the size of the orbits
-    with a nonzero power sum.
+    sum_r r^t mod ell. The t with one d = gcd(t, ell-1) are one Galois
+    orbit, as conjugation moves lambda_t to lambda_at for the units a
+    mod ell-1. If every power sum in an orbit vanishes, ell^phi divides
+    the norm of lambda while |lambda| <= dim < ell bounds it below
+    ell^phi, so lambda = 0; otherwise lambda != 0. The rank is the size
+    of the orbits with a nonzero power sum.
+
+    Each orbit stops at its first nonzero power sum. It tries t = d
+    first, which is in the orbit as d is odd and a multiple of |W|, then
+    t = ds over the units s mod (ell-1)/d, so only an orbit of zeros is
+    walked to its end: about (orbits * log ell + defect) * dim products
+    in all. Peak memory is about 32 bytes a rep, on top of the matrix.
     """
-    n = dm.dimension
-    limit = cap if cap is not None else _rank_cap()
-    if n > limit:
-        raise DimensionTooLarge(f"dimension {n} exceeds exact-rank cap {limit}")
-    ell, w = dm.ell, dm.stabilizer_size
-    power = np.array([pow(r, w, ell) for r in dm.reps], dtype=np.int64)
-    step = power * power % ell
-    sums = np.empty(n, dtype=np.int64)
-    for i in range(n):  # power = r^t for t = (2i+1)w
-        sums[i] = power.sum() % ell
-        power = power * step % ell
-    orbit = np.gcd(np.arange(w, ell - 1, 2 * w), ell - 1)
-    return int(np.isin(orbit, orbit[sums != 0]).sum())
+    n, ell, w = dm.dimension, dm.ell, dm.stabilizer_size
+    if cap is not None and n > cap:
+        raise DimensionTooLarge(f"dimension {n} exceeds exact-rank cap {cap}")
+    check_modulus(ell, "the exact rank")
+    check_memory(32 * n, f"the exact rank of a dimension-{n} matrix")
+    reps = np.array(dm.reps, dtype=np.int64)
+    orbits, sizes = np.unique(np.gcd(np.arange(w, ell - 1, 2 * w), ell - 1), return_counts=True)
+    nonzero = [_orbit_nonzero(reps, d, ell) for d in orbits.tolist()]
+    return int(sizes[nonzero].sum())
+
+
+def _orbit_nonzero(reps: np.ndarray, d: int, ell: int) -> bool:
+    """Whether some power sum sum_r r^t mod ell with gcd(t, ell-1) = d is
+    nonzero, trying t = ds for s = 1, 2, ... prime to (ell-1)/d."""
+    base = reps
+    for bit in bin(d)[3:]:  # base = reps^d, by square and multiply
+        base = base * base % ell
+        if bit == "1":
+            base = base * reps % ell
+    m = (ell - 1) // d
+    power = base
+    for s in range(1, m):
+        if math.gcd(s, m) == 1 and power.sum() % ell:
+            return True
+        power = power * base % ell
+    return False
 
 
 def rank_formula_value(ctx: PrimeContext, k: int, M: int) -> int:

@@ -95,9 +95,9 @@ def sieve_primes(n: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64, copy=False)
 
 
-def odd_primes(max_ell: int) -> list[int]:
-    """The odd primes <= max_ell, as Python ints."""
-    return [int(p) for p in sieve_primes(max_ell) if p >= 3]
+def odd_primes(max_ell: int) -> np.ndarray:
+    """The odd primes <= max_ell: the sieve's int64 array past the 2."""
+    return sieve_primes(max_ell)[1:]
 
 
 @contextmanager
@@ -183,7 +183,7 @@ def append_checkpoint(path: str, lo: int, hi: int) -> None:
 # Census of the singular-count bound
 
 
-def _census_chunk(primes: list[int]) -> list[KSetReport]:
+def _census_chunk(primes: np.ndarray) -> list[KSetReport]:
     return [k_set(make_context(int(p))) for p in primes]
 
 
@@ -201,7 +201,7 @@ def census(cfg: SearchConfig) -> Iterator[KSetReport]:
     done = read_checkpoint(cfg.checkpoint_path) if cfg.checkpoint_path else set()
 
     def bounds(chunk):
-        return (chunk[0], chunk[-1] + 1)
+        return (int(chunk[0]), int(chunk[-1]) + 1)
 
     todo = [c for c in chunks if bounds(c) not in done]
     with ordered_map(_census_chunk, todo, cfg.workers) as results:

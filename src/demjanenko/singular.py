@@ -11,13 +11,12 @@ character-sum identities behind the count exactly, in integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .arith import (
-    OrderProfile,
     PrimeContext,
     check_k,
     check_memory,
@@ -32,9 +31,6 @@ from .errors import BetaZero, HOutOfRange
 @dataclass(frozen=True)
 class CriterionEvidence:
     k: int
-    ord_k: OrderProfile
-    ord_neg: OrderProfile  # order of -k^2-k
-    ord_pos: OrderProfile  # order of k^2+k
     cond_i: bool
     cond_ii: bool
     cond_iii: bool
@@ -93,9 +89,6 @@ def criterion(ctx: PrimeContext, k: int) -> CriterionEvidence:
     ord_pos = mult_order(pos, ctx)
     return CriterionEvidence(
         k=k,
-        ord_k=ord_k,
-        ord_neg=ord_neg,
-        ord_pos=ord_pos,
         cond_i=ord_k.order != 3,
         cond_ii=ord_k.nu2 == 0 and ord_neg.nu2 == 0,
         cond_iii=ord_k.nu3 > ord_pos.nu3,
@@ -109,9 +102,7 @@ def sqrt_upper(n: int, digits: int = 6) -> Fraction:
 
 
 def main_term(ctx: PrimeContext) -> Fraction:
-    return Fraction(ctx.ell, 2 ** (2 * ctx.alpha + 2)) * (
-        1 - Fraction(1, 3 ** (2 * ctx.beta))
-    )
+    return ctx.ell * a0_closed_form(ctx)
 
 
 def error_bound(ctx: PrimeContext) -> Fraction:
@@ -311,20 +302,10 @@ def b_value(ctx: PrimeContext, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class BSumReport:
-    ell: int
-    sum_b: Fraction              # over k in [1, ell-2]
-    kstar_count: int
-    k_count: int
-    a0_closed: Fraction
-    a0_sum: Fraction
-    b_zero: Fraction
-    b_minus_one: Fraction
-    b_minus_one_expected: Fraction
-    checks: dict = field(default_factory=dict)
+    """Each named check with whether it held, and the computed k = -1 term."""
 
-    @property
-    def ok(self) -> bool:
-        return all(self.checks.values())
+    checks: dict
+    b_minus_one: Fraction
 
 
 def verify_bsum_identities(ctx: PrimeContext) -> BSumReport:
@@ -332,7 +313,7 @@ def verify_bsum_identities(ctx: PrimeContext) -> BSumReport:
 
     The closed form recorded for the k = -1 term fails for alpha >= 2:
     the order of -1 is 2, so its odd-order indicator vanishes and the
-    term is identically 0. The report carries both values.
+    term is identically 0, which the report carries.
     """
     if ctx.beta == 0:
         raise BetaZero("identities degenerate for beta = 0")
@@ -342,26 +323,12 @@ def verify_bsum_identities(ctx: PrimeContext) -> BSumReport:
     kstar_count = sum(1 for e in evidence if e.cond_ii and e.cond_iii)
     k_count = sum(1 for e in evidence if e.in_k_set)
     a0c = a0_closed_form(ctx)
-    a0s = a0_double_sum(ctx)
-    b0 = b_value(ctx, 0)
     bm1 = b_value(ctx, ell - 1)
-    bm1_expected = (2**ctx.alpha - 2) * a0c
     checks = {
         "sum_equals_kstar": sum_b == kstar_count,
         "k_vs_kstar_within_2": abs(k_count - kstar_count) <= 2,
-        "a0_closed_form": a0c == a0s,
-        "b_zero_is_a0": b0 == a0c,
-        "b_minus_one_closed_form": bm1 == bm1_expected,
+        "a0_closed_form": a0c == a0_double_sum(ctx),
+        "b_zero_is_a0": b_value(ctx, 0) == a0c,
+        "b_minus_one_closed_form": bm1 == (2**ctx.alpha - 2) * a0c,
     }
-    return BSumReport(
-        ell=ell,
-        sum_b=sum_b,
-        kstar_count=kstar_count,
-        k_count=k_count,
-        a0_closed=a0c,
-        a0_sum=a0s,
-        b_zero=b0,
-        b_minus_one=bm1,
-        b_minus_one_expected=bm1_expected,
-        checks=checks,
-    )
+    return BSumReport(checks=checks, b_minus_one=bm1)

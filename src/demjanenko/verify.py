@@ -18,7 +18,7 @@ def _per_prime(check, max_ell: int, workers: int) -> list[str]:
     max_ell, on a pool of `workers` processes when there is more than one."""
     if workers < 1:
         raise ValueError("workers must be positive")
-    with ordered_map(check, odd_primes(max_ell), workers) as chunks:
+    with ordered_map(check, odd_primes(max_ell).tolist(), workers) as chunks:
         return [msg for chunk in chunks for msg in chunk]
 
 

@@ -95,10 +95,15 @@ def test_kset_rationals_never_floats():
         pytest.param(
             ["lset", "--a", "3", "--b", "2", "--d", "7", "--e", "7"], id="lset-rho-cap"
         ),
+        # a build past the 512 MiB machine below; a sign matrix past it;
+        # both past physical memory; ell >= 2^31, past int64 products
         *(
             pytest.param([cmd, "--ell", ell, "--k", "2"], id=f"{cmd}-ell-{ell}")
-            for cmd in ("rank", "matrix")
-            for ell in ("1000003", "2147483647")
+            for cmd, ell in (
+                ("rank", "16777259"),
+                ("matrix", "1000003"),
+                *((c, e) for c in ("rank", "matrix") for e in ("2147483647", "2147483659")),
+            )
         ),
     ],
 )
@@ -239,13 +244,48 @@ def test_density():
     assert res.exit_code == 2
 
 
-def test_rank_cap_env(monkeypatch):
-    monkeypatch.setenv("DEMJANENKO_EXACT_RANK_CAP", "5")
+def test_rank_past_the_old_cap():
+    res = runner.invoke(main, ["rank", "--ell", "1000003", "--k", "2"])
+    assert res.exit_code == 0
+    assert "dim=500001 rank=500001 singular=False" in res.output
+
+
+def test_rank_refuses_past_physical_memory(monkeypatch):
+    # the build of ell = 67 needs 32 * 67 bytes
+    monkeypatch.setattr(arith, "PHYSICAL_MEMORY", 32 * 67 - 1)
     res = runner.invoke(main, ["rank", "--ell", "67", "--k", "6"])
     assert res.exit_code == 2
+    assert res.output.startswith("error: ") and "physical memory" in res.output
 
 
-_FUZZ_ARGS = st.one_of(
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["rank", "--ell", "67", "--k", "6"],
+        ["lset", "--a", "3", "--b", "2"],
+        ["mstats", "--ell", "67"],
+        ["density", "--x", "100"],
+    ],
+    ids=lambda a: a[0],
+)
+def test_csv_is_refused_where_not_implemented(args):
+    res = runner.invoke(main, [*args, "--format", "csv"])
+    assert res.exit_code == 2
+    assert "'csv' is not one of 'plain', 'json'" in res.output
+
+
+@pytest.mark.parametrize("mode", ["oracle", "identities", "rankformula"])
+def test_verify_checkpoint_outside_theorem1_is_usage_error(mode, tmp_path):
+    path = tmp_path / "ckpt"
+    res = runner.invoke(
+        main, ["verify", "--mode", mode, "--max-ell", "30", "--checkpoint", str(path)]
+    )
+    assert res.exit_code == 2
+    assert "--checkpoint applies only to --mode theorem1" in res.output
+    assert not path.exists()
+
+
+_FUZZ_COMMANDS = st.one_of(
     st.integers(-10, 5000).map(lambda ell: ["kset", "--ell", str(ell)]),
     st.tuples(st.integers(-5, 2000), st.sampled_from([-1, 0, 1])).map(
         lambda a: ["census", "--max-ell", str(a[0]), "--workers", str(a[1])]
@@ -253,7 +293,18 @@ _FUZZ_ARGS = st.one_of(
     st.tuples(
         st.sampled_from(["rank", "matrix"]), st.integers(-10, 5000), st.integers(-3, 5000)
     ).map(lambda a: [a[0], "--ell", str(a[1]), "--k", str(a[2])]),
+    st.integers(-10, 5000).map(lambda ell: ["mstats", "--ell", str(ell)]),
+    st.integers(-10, 3000).map(lambda x: ["density", "--x", str(x)]),
+    # a = 5 already spends seconds factoring the resultant
+    st.tuples(st.integers(-2, 4), st.integers(-2, 4)).map(
+        lambda a: ["lset", "--a", str(a[0]), "--b", str(a[1])]
+    ),
 )
+
+# every command draws a --format, implemented or not
+_FUZZ_ARGS = st.tuples(
+    _FUZZ_COMMANDS, st.sampled_from([[], *(["--format", f] for f in ("plain", "json", "csv"))])
+).map(lambda a: a[0] + a[1])
 
 
 @settings(max_examples=100, deadline=None)

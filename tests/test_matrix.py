@@ -8,8 +8,15 @@ import numpy as np
 import pytest
 import sympy
 
+from demjanenko import arith
 from demjanenko.arith import make_context, mult_order, probable_prime
-from demjanenko.errors import DimensionTooLarge, KOutOfRange, NonIntegerRank
+from demjanenko.errors import (
+    CapExceeded,
+    DimensionTooLarge,
+    KOutOfRange,
+    NonIntegerRank,
+    RangeExceeded,
+)
 from demjanenko.matrix import (
     DemjanenkoMatrix,
     build_matrix,
@@ -128,8 +135,8 @@ def test_build_matrix_matches_old_construction():
 
 
 def test_build_matrix_matches_old_construction_up_to_cap():
-    # (ell-1)/6 <= 600 admits every ell < 3607; each prime gets the two
-    # k with k^2+k+1 = 0 (|W| = 3) when ell = 1 mod 3, and four random k
+    # primes below 3607; each gets the two k with k^2+k+1 = 0 (|W| = 3)
+    # when ell = 1 mod 3, and four random k
     rng = random.Random(7)
     primes = [int(p) for p in sympy.primerange(201, 3607)]
     for ell in rng.sample(primes, 12):
@@ -253,12 +260,42 @@ def test_matrix_is_a_value():
     assert len({build_matrix(ctx, 6), build_matrix(ctx, 6)}) == 1
 
 
-def test_build_matrix_refuses_ell_past_cap(monkeypatch):
-    # (ell-1)/6 bounds every dimension below; 37: 6 > 5, 31: 5 <= 5
-    monkeypatch.setenv("DEMJANENKO_EXACT_RANK_CAP", "5")
-    with pytest.raises(DimensionTooLarge):
-        build_matrix(make_context(37), 10)
-    assert build_matrix(make_context(31), 5).dimension == 5  # 5^2+5+1 = 31, |W| = 3
+def test_build_matrix_refuses_past_physical_memory(monkeypatch):
+    # the build's peak at ell = 1009 is bounded by 32 bytes a residue
+    ctx = make_context(1009)
+    monkeypatch.setattr(arith, "PHYSICAL_MEMORY", 32 * 1009)
+    assert build_matrix(ctx, 2).dimension == 504
+    monkeypatch.setattr(arith, "PHYSICAL_MEMORY", 32 * 1009 - 1)
+    with pytest.raises(CapExceeded):
+        build_matrix(ctx, 2)
+
+
+def test_signs_and_rank_refuse_past_physical_memory(monkeypatch):
+    dm = build_matrix(make_context(67), 6)  # dim 33
+    monkeypatch.setattr(arith, "PHYSICAL_MEMORY", 32 * 33 * 33)
+    assert dm.signs.shape == (33, 33)
+    monkeypatch.setattr(arith, "PHYSICAL_MEMORY", 32 * 33 * 33 - 1)
+    with pytest.raises(CapExceeded):
+        dm.signs
+    monkeypatch.setattr(arith, "PHYSICAL_MEMORY", 32 * 33)
+    assert exact_rank(dm) == 31
+    monkeypatch.setattr(arith, "PHYSICAL_MEMORY", 32 * 33 - 1)
+    with pytest.raises(CapExceeded):
+        exact_rank(dm)
+
+
+def test_matrix_refuses_ell_past_int64_products(monkeypatch):
+    # from 2^31 on, a product of two residues can overflow int64; the
+    # refusal does not depend on the memory of the machine
+    monkeypatch.setattr(arith, "PHYSICAL_MEMORY", 1 << 62)
+    ctx = make_context(2147483659)
+    with pytest.raises(RangeExceeded):
+        build_matrix(ctx, 2)
+    by_hand = DemjanenkoMatrix(ell=ctx.ell, k=2, reps=(1,))
+    with pytest.raises(RangeExceeded):
+        by_hand.signs
+    with pytest.raises(RangeExceeded):
+        exact_rank(by_hand)
 
 
 def test_dump_matrix_format():
@@ -308,6 +345,58 @@ def test_exact_rank_large_ell_sample():
     assert singular > 0
 
 
+def _rank_all_power_sums(dm) -> int:
+    """exact_rank as it was before each orbit stopped at its first nonzero
+    power sum: every power sum sum_r r^t mod ell, t = |W|, 3|W|, ..., is
+    computed, and an orbit counts when any of its sums is nonzero."""
+    n = dm.dimension
+    ell, w = dm.ell, dm.stabilizer_size
+    power = np.array([pow(r, w, ell) for r in dm.reps], dtype=np.int64)
+    step = power * power % ell
+    sums = np.empty(n, dtype=np.int64)
+    for i in range(n):  # power = r^t for t = (2i+1)w
+        sums[i] = power.sum() % ell
+        power = power * step % ell
+    orbit = np.gcd(np.arange(w, ell - 1, 2 * w), ell - 1)
+    return int(np.isin(orbit, orbit[sums != 0]).sum())
+
+
+def test_exact_rank_matches_all_power_sums_past_old_cap():
+    # primes in (3606, 20000] with 3 | ell-1: a singular k (the least M, so
+    # the most orbits of zeros), a k with |W| = 3 and a random k each
+    rng = random.Random(11)
+    primes = [int(p) for p in sympy.primerange(3607, 20001) if p % 3 == 1]
+    singular = 0
+    for ell in rng.sample(primes, 3):
+        ctx = make_context(ell)
+        members = k_set(ctx).members
+        ks = [next(k for k in range(1, ell - 1) if (k * k + k + 1) % ell == 0),
+              rng.randrange(1, ell - 1)]
+        if members:
+            ks.append(min(members, key=lambda k: m_value(ctx, k).M))
+        for k in ks:
+            dm = build_matrix(ctx, k)
+            rank = exact_rank(dm)
+            assert rank == _rank_all_power_sums(dm), (ell, k)
+            singular += rank < dm.dimension
+    assert singular > 0
+
+
+def test_exact_rank_meets_rank_formula_up_to_1e5():
+    rng = random.Random(13)
+    primes = [int(p) for p in sympy.primerange(20001, 100_001) if p % 3 == 1]
+    checked = 0
+    for ell in rng.sample(primes, 10):
+        ctx = make_context(ell)
+        members = k_set(ctx).members
+        for k in rng.sample(members, min(2, len(members))):
+            dm = build_matrix(ctx, k)
+            expected = rank_formula_value(ctx, k, m_value(ctx, k).M)
+            assert exact_rank(dm) == expected < dm.dimension, (ell, k)
+            checked += 1
+    assert checked > 0
+
+
 def test_rank_routes_agree_on_random_sign_matrices():
     rng = np.random.default_rng(7)
     for _ in range(30):
@@ -341,14 +430,9 @@ def test_exact_rank_cap():
         exact_rank(dm, cap=10)
 
 
-def test_rank_cap_env(monkeypatch):
-    ctx = make_context(67)
-    dm = build_matrix(ctx, 6)
-    monkeypatch.setenv("DEMJANENKO_EXACT_RANK_CAP", "5")
-    with pytest.raises(DimensionTooLarge):
-        exact_rank(dm)
-    monkeypatch.setenv("DEMJANENKO_EXACT_RANK_CAP", "100")
-    assert exact_rank(dm) == 31
+def test_exact_rank_has_no_default_cap():
+    dm = build_matrix(make_context(3607), 2)  # past the dimension-600 cap it once had
+    assert exact_rank(dm) == dm.dimension == 1803
 
 
 def test_rank_formula_value():
