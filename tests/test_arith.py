@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demjanenko import arith
 from demjanenko.arith import (
     DETERMINISTIC_PRIME_LIMIT,
     canonical_rep,
@@ -22,7 +23,7 @@ from demjanenko.arith import (
     probable_prime,
     valuation,
 )
-from demjanenko.errors import NotPrime, NotUnit, RangeExceeded
+from demjanenko.errors import CapExceeded, NotPrime, NotUnit, RangeExceeded
 
 
 def test_is_prime_small_range_matches_sympy():
@@ -73,6 +74,36 @@ def test_factorize_beyond_machine_range():
     # resultants factored downstream can exceed 2^63
     n = 3**4 * 271**7
     assert factorize(n) == ((3, 4), (271, 7))
+
+
+def _sympy_factors(n):
+    return tuple(sorted(sympy.factorint(n).items()))
+
+
+@given(st.integers(min_value=2, max_value=10**12))
+@settings(max_examples=200, deadline=None)
+def test_factorize_square_doubles_exponents(n):
+    # a square cofactor is replaced by its root, so n*n costs what n costs
+    squared = factorize(n * n)
+    assert squared == tuple((p, 2 * e) for p, e in factorize(n))
+    assert squared == _sympy_factors(n * n)
+
+
+@pytest.mark.parametrize("p,q", [(1031, 999983), (7919, 104729), (1031, 1031)])
+def test_factorize_fourth_power_past_trial_division(p, q):
+    # both primes lie between the trial-division limit and 10^6, so the
+    # cofactor descends square by square to p*q (or p) before rho
+    assert arith._TRIAL_LIMIT < min(p, q) and max(p, q) < 10**6
+    n = (p * q) ** 4
+    assert factorize(n) == _sympy_factors(n)
+
+
+def test_square_descent_keeps_the_rho_cap(monkeypatch):
+    # the root of a square still goes through rho and its work cap
+    monkeypatch.setattr(arith, "_RHO_WORK_CAP", 1 << 10)
+    p, q = 1_000_000_007, 1_000_000_009
+    with pytest.raises(CapExceeded):
+        factorize((p * q) ** 2)
 
 
 def test_valuation():

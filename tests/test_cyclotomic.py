@@ -8,6 +8,7 @@ import pytest
 import sympy
 from sympy.abc import x as sym_x
 
+from demjanenko.arith import factorize
 from demjanenko.cyclotomic import (
     IntPolynomial,
     compose_neg_quadratic,
@@ -161,6 +162,24 @@ def test_l_set_known_values():
     assert l_set(2, 1, 1, 1).prime_divisors == (3,)
     assert l_set(3, 2, 1, 1).prime_divisors == (3, 271)
     assert l_set(3, 1, 1, 1).prime_divisors == (3, 271)
+
+
+# the prime divisors of the l_set inputs the benchmark factors
+_BENCH_L_SETS = {
+    (5, 2, 1, 1): (3, 1459, 2917, 867511, 1832221, 87846931, 2702695087,
+                   5413107367, 26992241713, 330016214089),
+    (4, 3, 1, 1): (3, 163, 77761, 4110751, 8868367, 10055827),
+    (4, 2, 1, 1): (3, 163, 77761, 4110751, 10055827),
+    (3, 2, 5, 1): (1621, 4861, 6211, 47251, 2736451, 5979118681),
+}
+
+
+@pytest.mark.parametrize("abde", list(_BENCH_L_SETS), ids=str)
+def test_l_set_bench_inputs(abde):
+    rec = l_set(*abde)
+    assert rec.prime_divisors == _BENCH_L_SETS[abde]
+    n = abs(rec.resultant)
+    assert math.prod(p**e for p, e in factorize(n)) == n
 
 
 def test_l_set_record_json():
