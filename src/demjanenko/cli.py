@@ -98,8 +98,7 @@ def census(max_ell, workers, checkpoint, fmt):
             click.echo(_census_csv_row(rep))
     else:
         for rep in stream:
-            j = rep.to_json()
-            click.echo(f"ell={j['ell']} count={j['count']} within={j['within_bound']}")
+            click.echo(f"ell={rep.ctx.ell} count={rep.count} within={rep.within_bound}")
 
 
 @main.command("matrix")

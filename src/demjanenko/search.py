@@ -21,7 +21,6 @@ from .arith import (
     check_memory,
     context_from_factors,
     factorize,
-    make_context,
     primitive_root,
     probable_prime,
 )
@@ -29,6 +28,11 @@ from .errors import BoundViolation, NotPrime
 from .singular import KSetReport, k_set
 
 DEFAULT_LBM_BUDGET = 1 << 40
+
+# Primes per shard: in the census the unit of work of a pool task and of
+# one checkpoint line; in the census and the density census the batch
+# factored by one sieve_factorizations pass.
+_SHARD = 512
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,36 @@ def sieve_primes(n: int) -> np.ndarray:
 def odd_primes(max_ell: int) -> np.ndarray:
     """The odd primes <= max_ell: the sieve's int64 array past the 2."""
     return sieve_primes(max_ell)[1:]
+
+
+def sieve_factorizations(n: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
+    """The factorization of each entry of the int64 array n (entries >= 1),
+    sorted by prime as `factorize` returns it, in one vectorized pass.
+
+    Every prime q <= isqrt(max n) from the sieve is divided out with its
+    multiplicity. What is left of an entry is then 1 or a prime larger
+    than every q, as a composite would have a prime factor <= isqrt(max n),
+    so no primality test is needed and that prime comes last.
+    """
+    if n.size == 0:
+        return []
+    out: list[list[tuple[int, int]]] = [[] for _ in range(len(n))]
+    residual = n.copy()
+    exps = np.zeros(len(n), dtype=np.int64)
+    for q in sieve_primes(math.isqrt(int(n.max()))).tolist():
+        idx = np.flatnonzero(residual % q == 0)
+        sub = idx
+        while sub.size:
+            residual[sub] //= q
+            exps[sub] += 1
+            sub = sub[residual[sub] % q == 0]
+        for i, e in zip(idx.tolist(), exps[idx].tolist()):
+            out[i].append((q, e))
+        exps[idx] = 0
+    for i, r in enumerate(residual.tolist()):
+        if r > 1:
+            out[i].append((r, 1))
+    return [tuple(f) for f in out]
 
 
 @contextmanager
@@ -183,8 +217,18 @@ def append_checkpoint(path: str, lo: int, hi: int) -> None:
 # Census of the singular-count bound
 
 
+def _shards(primes: np.ndarray) -> list[np.ndarray]:
+    """Consecutive slices of _SHARD primes, the last one shorter."""
+    return [primes[i:i + _SHARD] for i in range(0, len(primes), _SHARD)]
+
+
 def _census_chunk(primes: np.ndarray) -> list[KSetReport]:
-    return [k_set(make_context(int(p))) for p in primes]
+    """The reports of a shard of odd primes from the sieve: their
+    primality is known and the factors of ell-1 come from the shard."""
+    return [
+        k_set(context_from_factors(ell, factors))
+        for ell, factors in zip(primes.tolist(), sieve_factorizations(primes - 1))
+    ]
 
 
 def census(cfg: SearchConfig) -> Iterator[KSetReport]:
@@ -195,9 +239,7 @@ def census(cfg: SearchConfig) -> Iterator[KSetReport]:
     shard's checkpoint line is appended right after its reports, so an
     interrupted run keeps every finished shard.
     """
-    primes = odd_primes(cfg.max_ell)
-    shard = 512
-    chunks = [primes[i:i + shard] for i in range(0, len(primes), shard)]
+    chunks = _shards(odd_primes(cfg.max_ell))
     done = read_checkpoint(cfg.checkpoint_path) if cfg.checkpoint_path else set()
 
     def bounds(chunk):
@@ -302,8 +344,7 @@ def find_ls(
             & (ells % 3 == 1)
             & (omega[ells - 1 - offset] >= s)
         ]
-        for ell in map(int, cand):
-            factors = factorize(ell - 1)
+        for ell, factors in zip(cand.tolist(), sieve_factorizations(cand - 1)):
             if k_set_is_empty(ell, factors):
                 return LsRecord(s=s, ell=ell, limit=limit, factorization=factors)
         if checkpoint_path:
@@ -348,12 +389,12 @@ def density_census(x: int) -> DensityReport:
     x^(3/4) (log x)^3 yardstick (no constant is asserted)."""
     if x < 2:
         raise ValueError("x >= 2 required")
-    hits = []
-    for p in sieve_primes(x):
-        p = int(p)
-        if p % 3 != 1:
-            continue
-        if k_set_is_empty(p):
-            hits.append(p)
+    primes = sieve_primes(x)
+    hits = [
+        ell
+        for chunk in _shards(primes[primes % 3 == 1])
+        for ell, factors in zip(chunk.tolist(), sieve_factorizations(chunk - 1))
+        if k_set_is_empty(ell, factors)
+    ]
     ref = x**0.75 * math.log(x) ** 3
     return DensityReport(x=x, count=len(hits), primes=tuple(hits), reference=ref)

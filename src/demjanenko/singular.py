@@ -42,18 +42,40 @@ class CriterionEvidence:
 
 @dataclass(frozen=True)
 class KSetReport:
+    """The singular set of ctx.ell, ascending, against the count bound
+    |count - main_term| <= error_bound.
+
+    main_term and error_bound are exact Fractions computed from ctx on
+    demand; within_bound decides the same inequality as one integer
+    comparison with its denominators cleared.
+    """
+
     ctx: PrimeContext
     members: tuple[int, ...]
-    main_term: Fraction
-    error_bound: Fraction
 
     @property
     def count(self) -> int:
         return len(self.members)
 
     @property
+    def main_term(self) -> Fraction:
+        return main_term(self.ctx)
+
+    @property
+    def error_bound(self) -> Fraction:
+        return error_bound(self.ctx)
+
+    @property
     def within_bound(self) -> bool:
-        return abs(self.count - self.main_term) <= self.error_bound
+        # main = ell (9^beta - 1) / d with d = 4^(alpha+1) 9^beta, and
+        # err = 4 beta^2 a/b + 33/16 with a/b = sqrt_upper(ell); times 16 b d
+        ell, beta = self.ctx.ell, self.ctx.beta
+        nine = 9**beta
+        d = nine << 2 * self.ctx.alpha + 2
+        root = sqrt_upper(ell)
+        a, b = root.numerator, root.denominator
+        gap = abs(self.count * d - ell * (nine - 1))
+        return 16 * b * gap <= d * (64 * beta**2 * a + 33 * b)
 
     def to_json(self) -> dict:
         return {
@@ -142,12 +164,7 @@ def k_set(ctx: PrimeContext) -> KSetReport:
         hit = nu3_levels(n0, ctx.beta)[1:] < neg_level
         hit[n0 // 3 - 1] = hit[2 * n0 // 3 - 1] = False  # (i); 3 | n0 as beta >= 1
         members = tuple(np.sort(k[hit]).tolist())
-    return KSetReport(
-        ctx=ctx,
-        members=members,
-        main_term=main_term(ctx),
-        error_bound=error_bound(ctx),
-    )
+    return KSetReport(ctx=ctx, members=members)
 
 
 def m_value(ctx: PrimeContext, k: int) -> MStat:

@@ -1,12 +1,14 @@
 """Searches: census, the finite alpha=1 list, Table-style scans."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy
 
 from demjanenko import arith, search
 from demjanenko.arith import make_context
-from demjanenko.errors import CapExceeded, NotPrime
+from demjanenko.errors import BoundViolation, CapExceeded, NotPrime
 from demjanenko.search import (
     SearchConfig,
     append_checkpoint,
@@ -19,6 +21,7 @@ from demjanenko.search import (
     lbm_scan,
     ordered_map,
     read_checkpoint,
+    sieve_factorizations,
     sieve_primes,
 )
 from demjanenko.singular import k_set
@@ -45,6 +48,16 @@ def test_odd_primes_is_the_sieve_array():
     assert primes.dtype == np.int64
     assert primes.tolist() == [3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert search.odd_primes(2).size == search.odd_primes(1).size == 0
+
+
+def test_sieve_factorizations_match_factorize():
+    primes = search.odd_primes(10**5)
+    shards = search._shards(primes) + [np.array([p]) for p in (3, 5, 257, 65537)]
+    for shard in shards:
+        expected = [arith.factorize(int(p) - 1) for p in shard]
+        assert sieve_factorizations(shard - 1) == expected, shard[0]
+    assert sieve_factorizations(np.array([65536])) == [((2, 16),)]
+    assert sieve_factorizations(np.empty(0, dtype=np.int64)) == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -110,6 +123,39 @@ def test_census_workers_deterministic():
     one = [(r.ctx.ell, r.members) for r in census(SearchConfig(max_ell=2000, workers=1))]
     two = [(r.ctx.ell, r.members) for r in census(SearchConfig(max_ell=2000, workers=2))]
     assert one == two
+
+
+def _refuse_per_prime_work(monkeypatch):
+    """Make every per-prime primality test or factorization raise, both
+    where search looks them up and where make_context does."""
+    def refuse(*args):
+        raise AssertionError("a per-prime primality test or factorization ran")
+
+    for module in (search, arith):
+        monkeypatch.setattr(module, "factorize", refuse)
+        monkeypatch.setattr(module, "probable_prime", refuse)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_census_takes_primality_and_factors_from_the_sieve(monkeypatch, workers):
+    primes = search.odd_primes(5000).tolist()
+    expected = [k_set(make_context(p)) for p in primes]
+    _refuse_per_prime_work(monkeypatch)
+    assert list(census(SearchConfig(max_ell=5000, workers=workers))) == expected
+
+
+def test_census_raises_on_a_count_past_the_bound(monkeypatch):
+    _refuse_per_prime_work(monkeypatch)
+
+    def inflated(ctx):
+        rep = k_set(ctx)
+        if ctx.ell == 4999:
+            rep = dataclasses.replace(rep, members=tuple(range(1, ctx.ell - 1)))
+        return rep
+
+    monkeypatch.setattr(search, "k_set", inflated)
+    with pytest.raises(BoundViolation, match="ell=4999"):
+        list(census(SearchConfig(max_ell=5000)))
 
 
 def test_census_checkpoint(tmp_path):
@@ -181,6 +227,9 @@ def test_find_ls_small():
     rec = find_ls(4, 10_000)
     assert rec.ell == 3121
     assert rec.factorization == ((2, 4), (3, 1), (5, 1), (13, 1))
+    rec = find_ls(5, 200_000)
+    assert rec.ell == 127681
+    assert rec.factorization == ((2, 6), (3, 1), (5, 1), (7, 1), (19, 1))
 
 
 def test_find_ls_not_found_is_first_class():

@@ -1,5 +1,7 @@
 """Order criterion, count report, and the identity suites."""
 
+import dataclasses
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -257,6 +259,21 @@ def test_main_term_and_bound_values():
     b = error_bound(ctx)
     assert b > 4 * (13**0.5)  # rational upper bound dominates the float
     assert b - Fraction(33, 16) >= 4 * sqrt_upper(13) - Fraction(1, 1000)
+
+
+def test_within_bound_is_the_fraction_inequality():
+    # the integer comparison against |count - main| <= err in Fractions, at
+    # the real count and at the counts one either side of both edges
+    for ell in sieve_primes(20000)[1:].tolist():
+        rep = k_set(make_context(ell))
+        main, err = rep.main_term, rep.error_bound
+        counts = {rep.count}
+        for edge in (main - err, main + err):
+            counts |= set(range(math.floor(edge) - 1, math.ceil(edge) + 2))
+        for c in counts:
+            if c >= 0:
+                probe = dataclasses.replace(rep, members=tuple(range(c)))
+                assert probe.within_bound == (abs(c - main) <= err), (ell, c)
 
 
 def test_sqrt_upper_is_tight_upper_bound():
