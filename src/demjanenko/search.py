@@ -3,7 +3,10 @@
 The expensive primitive is deciding whether the singular set of a prime
 is empty. It is decided one way at every ell: walk the odd-order
 subgroup, which contains every possible singular k, so exhausting it
-certifies emptiness and the first hit certifies non-emptiness.
+certifies emptiness and the first hit certifies non-emptiness. The
+Table 1 search and the density census ask the paper's count bound
+first: where it excludes a count of 0, the set is proven non-empty and
+no walk runs.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .arith import (
     probable_prime,
 )
 from .errors import BoundViolation, NotPrime
-from .singular import KSetReport, k_set
+from .singular import KSetReport, count_within_bound, k_set
 
 DEFAULT_LBM_BUDGET = 1 << 40
 
@@ -193,6 +196,12 @@ def k_set_is_empty(ell: int, factors=None) -> bool:
     return k_witness(ell, factors) is None
 
 
+def _empty_after_bound(ell: int, factors) -> bool:
+    """k_set_is_empty for a sieved prime: False when the count bound
+    excludes a count of 0, which proves the set non-empty, else the walk."""
+    return count_within_bound(context_from_factors(ell, factors), 0) and k_set_is_empty(ell, factors)
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints: line-oriented "done <lo> <hi>"
 
@@ -284,36 +293,22 @@ def corollary712_search() -> list[int]:
 # Segmented scan for the smallest empty-set prime with many factors
 
 
-def _block_data(lo: int, hi: int, small_primes: np.ndarray):
-    """(primality mask, omega array) for the integers in [lo, hi)."""
-    size = hi - lo
-    n = np.arange(lo, hi, dtype=np.int64)
-    residual = n.copy()
-    omega = np.zeros(size, dtype=np.int16)
-    for p in small_primes:
-        p = int(p)
-        start = (-lo) % p
-        idx = np.arange(start, size, p)
-        if idx.size == 0:
-            continue
-        omega[idx] += 1
-        residual[idx] //= p
-        sub = idx[residual[idx] % p == 0]
-        while sub.size:
-            residual[sub] //= p
-            sub = sub[residual[sub] % p == 0]
-    omega += residual > 1    # at most one prime factor above sqrt(hi)
-    is_prime_mask = (residual == n) & (n >= 2)
-    for p in small_primes:
-        if lo <= p < hi:
-            is_prime_mask[p - lo] = True
-    return is_prime_mask, omega
+def _block_candidates(lo: int, hi: int, s: int, small: np.ndarray):
+    """(ell, factors of ell-1) for each prime ell = 1 mod 3 in [lo, hi),
+    lo >= 2, whose ell-1 has at least s distinct prime factors.
 
-
-def _blocks(lo: int, hi: int, size: int):
-    while lo < hi:
-        yield lo, min(lo + size, hi)
-        lo += size
+    small holds every prime <= isqrt(hi - 1). om counts the small primes
+    dividing ell-1; as ell-1 has at most one prime factor past them, only
+    om >= s - 1 can reach s, and sieve_factorizations gives the count."""
+    isp = np.ones(hi - lo, dtype=bool)
+    om = np.zeros(hi - lo, dtype=np.int8)
+    for p in small.tolist():
+        isp[max(p * p, -(-lo // p) * p) - lo:: p] = False
+        om[(1 - lo) % p:: p] += 1
+    ells = lo + np.flatnonzero(isp & (om >= s - 1))
+    ells = ells[ells % 3 == 1]
+    pairs = zip(ells.tolist(), sieve_factorizations(ells - 1))
+    return [(ell, factors) for ell, factors in pairs if len(factors) >= s]
 
 
 def find_ls(
@@ -326,26 +321,20 @@ def find_ls(
     distinct prime factors in ell-1 and an empty singular set.
 
     NOT-FOUND below the limit is a first-class result, not an error.
-    Uses the fast criterion only; never builds a matrix.
+    The candidates come from a plain sieve per block. Each is decided by
+    the count bound when it excludes a count of 0, else by the walk;
+    never by a matrix.
     """
-    if s < 2 or limit < 3:
-        raise ValueError("need s >= 2 and limit >= 3")
+    if s < 2 or limit < 3 or block_size < 1:
+        raise ValueError("need s >= 2, limit >= 3 and block_size >= 1")
     small = sieve_primes(math.isqrt(limit) + 1)
     done = read_checkpoint(checkpoint_path) if checkpoint_path else set()
-    for lo, hi in _blocks(2, limit + 1, block_size):
+    for lo in range(2, limit + 1, block_size):
+        hi = min(lo + block_size, limit + 1)
         if (lo, hi) in done:
             continue
-        # shift by one so omega of ell-1 is available for ell == lo
-        isp, omega = _block_data(lo - 1, hi, small)
-        offset = lo - 1
-        ells = np.arange(lo, hi, dtype=np.int64)
-        cand = ells[
-            isp[1:]
-            & (ells % 3 == 1)
-            & (omega[ells - 1 - offset] >= s)
-        ]
-        for ell, factors in zip(cand.tolist(), sieve_factorizations(cand - 1)):
-            if k_set_is_empty(ell, factors):
+        for ell, factors in _block_candidates(lo, hi, s, small):
+            if _empty_after_bound(ell, factors):
                 return LsRecord(s=s, ell=ell, limit=limit, factorization=factors)
         if checkpoint_path:
             append_checkpoint(checkpoint_path, lo, hi)
@@ -386,7 +375,10 @@ def lbm_scan(
 
 def density_census(x: int) -> DensityReport:
     """Count primes <= x, = 1 mod 3, with empty singular set, next to the
-    x^(3/4) (log x)^3 yardstick (no constant is asserted)."""
+    x^(3/4) (log x)^3 yardstick (no constant is asserted).
+
+    Each prime is decided by the count bound when it excludes a count of
+    0, else by the walk."""
     if x < 2:
         raise ValueError("x >= 2 required")
     primes = sieve_primes(x)
@@ -394,7 +386,7 @@ def density_census(x: int) -> DensityReport:
         ell
         for chunk in _shards(primes[primes % 3 == 1])
         for ell, factors in zip(chunk.tolist(), sieve_factorizations(chunk - 1))
-        if k_set_is_empty(ell, factors)
+        if _empty_after_bound(ell, factors)
     ]
     ref = x**0.75 * math.log(x) ** 3
     return DensityReport(x=x, count=len(hits), primes=tuple(hits), reference=ref)

@@ -46,8 +46,8 @@ class KSetReport:
     |count - main_term| <= error_bound.
 
     main_term and error_bound are exact Fractions computed from ctx on
-    demand; within_bound decides the same inequality as one integer
-    comparison with its denominators cleared.
+    demand; within_bound decides the same inequality in integers, by
+    count_within_bound.
     """
 
     ctx: PrimeContext
@@ -67,15 +67,7 @@ class KSetReport:
 
     @property
     def within_bound(self) -> bool:
-        # main = ell (9^beta - 1) / d with d = 4^(alpha+1) 9^beta, and
-        # err = 4 beta^2 a/b + 33/16 with a/b = sqrt_upper(ell); times 16 b d
-        ell, beta = self.ctx.ell, self.ctx.beta
-        nine = 9**beta
-        d = nine << 2 * self.ctx.alpha + 2
-        root = sqrt_upper(ell)
-        a, b = root.numerator, root.denominator
-        gap = abs(self.count * d - ell * (nine - 1))
-        return 16 * b * gap <= d * (64 * beta**2 * a + 33 * b)
+        return count_within_bound(self.ctx, self.count)
 
     def to_json(self) -> dict:
         return {
@@ -129,6 +121,22 @@ def main_term(ctx: PrimeContext) -> Fraction:
 
 def error_bound(ctx: PrimeContext) -> Fraction:
     return 4 * ctx.beta**2 * sqrt_upper(ctx.ell) + Fraction(33, 16)
+
+
+def count_within_bound(ctx: PrimeContext, count: int) -> bool:
+    """|count - main_term| <= error_bound, as one integer comparison.
+
+    At count 0 a False proves the singular set of ctx.ell non-empty.
+    """
+    # main = ell (9^beta - 1) / d with d = 4^(alpha+1) 9^beta, and
+    # err = 4 beta^2 a/b + 33/16 with a/b = sqrt_upper(ell); times 16 b d
+    ell, beta = ctx.ell, ctx.beta
+    nine = 9**beta
+    d = nine << 2 * ctx.alpha + 2
+    root = sqrt_upper(ell)
+    a, b = root.numerator, root.denominator
+    gap = abs(count * d - ell * (nine - 1))
+    return 16 * b * gap <= d * (64 * beta**2 * a + 33 * b)
 
 
 def k_set(ctx: PrimeContext) -> KSetReport:

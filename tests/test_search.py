@@ -1,6 +1,8 @@
 """Searches: census, the finite alpha=1 list, Table-style scans."""
 
 import dataclasses
+import math
+import random
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from demjanenko.search import (
     sieve_factorizations,
     sieve_primes,
 )
-from demjanenko.singular import k_set
+from demjanenko.singular import count_within_bound, criterion, k_set
 
 
 def test_sieve_primes():
@@ -94,16 +96,14 @@ def test_k_set_is_empty_rejects_composite():
 
 
 def test_k_set_is_empty_large_prime_uses_walk():
-    # a prime whose full scan would need gigabytes: only the walk decides it
     ell = 25858561
     assert k_set_is_empty(ell)
+    assert k_set(make_context(ell)).count == 0
     ell2 = 1048783  # prime, 1 mod 3
     assert sympy.isprime(ell2) and ell2 % 3 == 1
     ctx_small_check = k_witness(ell2)
     # whatever the walk says, the criterion on the witness must confirm it
     if ctx_small_check is not None:
-        from demjanenko.singular import criterion
-
         assert criterion(make_context(ell2), ctx_small_check).in_k_set
 
 
@@ -253,6 +253,51 @@ def test_find_ls_validation():
         find_ls(1, 100)
     with pytest.raises(ValueError):
         find_ls(3, 2)
+    for block_size in (0, -1):  # 0 used to loop forever, -1 died in numpy
+        with pytest.raises(ValueError):
+            find_ls(3, 100, block_size=block_size)
+
+
+def _factorint(n):
+    return tuple(sorted(sympy.factorint(n).items()))
+
+
+@pytest.mark.parametrize("block_size", [777, 1 << 20])
+def test_block_candidates_match_sympy(block_size):
+    # the sieve keeps om >= s - 1 because ell-1 may have one prime factor
+    # past isqrt(limit); the exact count then comes from the factorization
+    limit = 199_999
+    small = sieve_primes(math.isqrt(limit) + 1)
+    primes = [p for p in sympy.primerange(2, limit + 1) if p % 3 == 1]
+    omega = {p: len(sympy.primefactors(p - 1)) for p in primes}
+    for s in range(2, 7):
+        got = [
+            pair
+            for lo in range(2, limit + 1, block_size)
+            for pair in search._block_candidates(lo, min(lo + block_size, limit + 1), s, small)
+        ]
+        assert [ell for ell, _ in got] == [p for p in primes if omega[p] >= s], s
+        assert all(factors == _factorint(ell - 1) for ell, factors in got)
+
+
+def _walk_every_candidate(s, limit):
+    """find_ls without the sieve or the bound: the first prime whose
+    singular set the walk finds empty."""
+    for ell in sympy.primerange(7, limit + 1):
+        if ell % 3 == 1 and len(sympy.primefactors(ell - 1)) >= s and k_set_is_empty(ell):
+            return ell
+    return None
+
+
+@pytest.mark.parametrize("s,limit", [
+    (2, 1000), (3, 30), (3, 10_000), (4, 10_000), (5, 100_000), (5, 200_000),
+])
+def test_find_ls_matches_walking_every_candidate(s, limit):
+    expected = _walk_every_candidate(s, limit)
+    for block_size in (777, 1 << 20):
+        rec = find_ls(s, limit, block_size=block_size)
+        assert rec.ell == expected
+        assert rec.factorization == (_factorint(expected - 1) if expected else ())
 
 
 def test_lbm_scan_small_families():
@@ -286,6 +331,46 @@ def test_lbm_scan_validation():
         lbm_scan(1, 2, 10)   # m not coprime to 6
     with pytest.raises(ValueError):
         lbm_scan(-1, 1, 10)
+
+
+@pytest.mark.parametrize("x,count", [
+    (200_000, None),
+    pytest.param(10**6, 565, marks=pytest.mark.slow),
+])
+def test_density_census_matches_walking_every_prime(x, count):
+    walked = [p for p in sympy.primerange(7, x + 1) if p % 3 == 1 and k_set_is_empty(p)]
+    rep = density_census(x)
+    assert list(rep.primes) == walked
+    assert count is None or rep.count == count
+
+
+def test_scans_walk_only_the_primes_the_bound_leaves_open(monkeypatch):
+    walked = []
+
+    def recording(ell, factors=None):
+        walked.append(ell)
+        return k_set_is_empty(ell, factors)
+
+    monkeypatch.setattr(search, "k_set_is_empty", recording)
+    density_census(20_000)
+    primes = [p for p in sympy.primerange(7, 20_001) if p % 3 == 1]
+    assert walked == [p for p in primes if count_within_bound(make_context(p), 0)]
+    walked.clear()
+    assert find_ls(5, 200_000).ell == 127681
+    assert len(walked) == 269  # of the 740 candidates up to 127681
+
+
+def test_k_witness_on_primes_the_bound_decides():
+    # the bound proves these sets non-empty; the walk must find a member
+    rng = random.Random(1307)
+    sample = set()
+    while len(sample) < 200:
+        ell = rng.randrange(7, 10**7, 6)  # 1 mod 6
+        if sympy.isprime(ell) and not count_within_bound(make_context(ell), 0):
+            sample.add(ell)
+    for ell in sorted(sample):
+        k = k_witness(ell)
+        assert k is not None and criterion(make_context(ell), k).in_k_set, ell
 
 
 def test_density_census():
