@@ -23,10 +23,11 @@ def _format_option(*formats: str):
 
 
 def _census_csv_row(rep: singular.KSetReport) -> str:
-    j = rep.to_json()
+    ctx = rep.ctx
     return (
-        f"{j['ell']},{j['alpha']},{j['beta']},{j['m']},{j['count']},"
-        f"{j['main_term']},{j['error_bound']},{str(j['within_bound']).lower()}"
+        f"{ctx.ell},{ctx.alpha},{ctx.beta},{ctx.m},{rep.count},"
+        f"{singular.frac_str(rep.main_term)},{singular.frac_str(rep.error_bound)},"
+        f"{str(rep.within_bound).lower()}"
     )
 
 
@@ -91,7 +92,11 @@ def census(max_ell, workers, checkpoint, fmt):
     )
     stream = search.census(cfg)
     if fmt == "json":
-        click.echo(json.dumps([rep.to_json() for rep in stream]))
+        # streamed row by row, byte-identical to json.dumps of the list
+        click.echo("[", nl=False)
+        for i, rep in enumerate(stream):
+            click.echo((", " if i else "") + json.dumps(rep.to_json()), nl=False)
+        click.echo("]")
     elif fmt == "csv":
         click.echo(_CENSUS_CSV_HEADER)
         for rep in stream:

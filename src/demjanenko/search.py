@@ -4,13 +4,16 @@ The expensive primitive is deciding whether the singular set of a prime
 is empty. It is decided one way at every ell: walk the odd-order
 subgroup, which contains every possible singular k, so exhausting it
 certifies emptiness and the first hit certifies non-emptiness. The
-Table 1 search and the density census ask the paper's count bound
-first: where it excludes a count of 0, the set is proven non-empty and
-no walk runs.
+Table 1 search and the density census are one scan, `_empty_primes`: a
+block sieve yields the primes ell = 1 mod 3 with enough prime factors
+in ell-1, the paper's count bound decides each it can (where it
+excludes a count of 0 the set is proven non-empty), and the walk
+decides the rest.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from contextlib import contextmanager
@@ -32,10 +35,12 @@ from .singular import KSetReport, count_within_bound, k_set
 
 DEFAULT_LBM_BUDGET = 1 << 40
 
-# Primes per shard: in the census the unit of work of a pool task and of
-# one checkpoint line; in the census and the density census the batch
-# factored by one sieve_factorizations pass.
+# Primes per shard of the census: the unit of work of a pool task, of one
+# checkpoint line and of one sieve_factorizations pass.
 _SHARD = 512
+
+# Integers per block of the empty-prime scan.
+_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -157,8 +162,11 @@ def k_witness(ell: int, factors=None) -> int | None:
     """Some k in the singular set of ell, or None (certified empty).
 
     Walks k = h^t over the subgroup of odd-order elements. Every
-    singular k has odd order divisible by 3, so it lies on the walk;
-    the two remaining conditions cost one modular power each.
+    singular k has odd order divisible by 3, so it lies on the walk.
+    With 3^v = gcd(t, 3^beta) and v < beta, ord k has 3-adic
+    valuation beta - v >= 1, and it is 3 iff n0 divides 3t. Such a k is
+    singular iff -k^2-k lies in the odd subgroup at a level above v,
+    that is iff its n0/3^(v+1)-th power is 1: one modular power.
     """
     if not probable_prime(ell):
         raise NotPrime(f"{ell} is not prime")
@@ -168,38 +176,23 @@ def k_witness(ell: int, factors=None) -> int | None:
     alpha, beta = ctx.alpha, ctx.beta
     if beta == 0:
         return None
-    n = ell - 1
-    n0 = n >> alpha          # odd part, order of the walk subgroup
+    n0 = (ell - 1) >> alpha  # odd part, order of the walk subgroup
     h = pow(primitive_root(ctx), 1 << alpha, ell)
+    top = 3**beta
     k = 1
     for t in range(1, n0):
         k = k * h % ell
-        tt, v3 = t, 0
-        while tt % 3 == 0 and v3 < beta:
-            tt //= 3
-            v3 += 1
-        if v3 >= beta:
-            continue         # order of k has no factor 3
-        if n0 // math.gcd(t, n0) == 3:
-            continue         # order exactly 3 is excluded
-        u = k * (k + 1) % ell
-        if pow(ell - u, n0, ell) != 1:
-            continue         # -k^2-k must have odd order
-        c = beta - v3        # 3-adic valuation of ord k, >= 1
-        if pow(u, n // 3 ** (beta - c + 1), ell) == 1:
-            return k         # nu3(ord(k^2+k)) < nu3(ord k)
+        g = math.gcd(t, top)     # 3^v3(t), capped at 3^beta
+        if g == top or 3 * t % n0 == 0:
+            continue             # order of k prime to 3, or exactly 3
+        if pow(-k * (k + 1) % ell, n0 // (3 * g), ell) == 1:
+            return k
     return None
 
 
 def k_set_is_empty(ell: int, factors=None) -> bool:
     """True iff the singular set of ell is empty, certified by k_witness."""
     return k_witness(ell, factors) is None
-
-
-def _empty_after_bound(ell: int, factors) -> bool:
-    """k_set_is_empty for a sieved prime: False when the count bound
-    excludes a count of 0, which proves the set non-empty, else the walk."""
-    return count_within_bound(context_from_factors(ell, factors), 0) and k_set_is_empty(ell, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -272,25 +265,19 @@ def census(cfg: SearchConfig) -> Iterator[KSetReport]:
 
 
 def corollary712_search() -> list[int]:
-    """The primes 2*3^beta + 1 with beta in [1, 17].
+    """The primes 2*3^beta + 1 whose threshold
+    m_beta = ceil(441*8*beta^4/3^beta) is at least 2.
 
-    Above the threshold ceil(441*8*beta^4/3^beta) the count bound already
-    forces a non-empty singular set; the threshold drops to 1 at beta=18,
-    which closes the search range.
+    Where m_beta is 1 the count bound already forces a non-empty singular
+    set. m_beta falls for every beta >= 4 and first drops to 1 at
+    beta = 18, so the range is beta in [1, 17].
     """
-    found = []
-    for beta in range(1, 18):
-        m_beta = -(-441 * 8 * beta**4 // 3**beta)  # exact ceiling
-        if m_beta < 2:
-            continue
-        ell = 2 * 3**beta + 1
-        if probable_prime(ell):
-            found.append(ell)
-    return sorted(found)
+    betas = itertools.takewhile(lambda b: -(-441 * 8 * b**4 // 3**b) >= 2, itertools.count(1))
+    return [ell for ell in (2 * 3**b + 1 for b in betas) if probable_prime(ell)]
 
 
 # ---------------------------------------------------------------------------
-# Segmented scan for the smallest empty-set prime with many factors
+# The empty-prime scan behind Table 1 and the density census
 
 
 def _block_candidates(lo: int, hi: int, s: int, small: np.ndarray):
@@ -311,34 +298,33 @@ def _block_candidates(lo: int, hi: int, s: int, small: np.ndarray):
     return [(ell, factors) for ell, factors in pairs if len(factors) >= s]
 
 
-def find_ls(
-    s: int,
-    limit: int,
-    block_size: int = 1 << 20,
-    checkpoint_path: str | None = None,
-) -> LsRecord:
+def _empty_primes(limit: int, s: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+    """(ell, factors of ell-1), ascending, for each prime ell <= limit,
+    ell = 1 mod 3, with at least s distinct prime factors in ell-1 and
+    an empty singular set.
+
+    The candidates come from a plain sieve per block of _BLOCK integers.
+    Each is decided by the count bound when it excludes a count of 0,
+    else by the walk; never by a matrix."""
+    small = sieve_primes(math.isqrt(limit) + 1)
+    for lo in range(2, limit + 1, _BLOCK):
+        for ell, factors in _block_candidates(lo, min(lo + _BLOCK, limit + 1), s, small):
+            ctx = context_from_factors(ell, factors)
+            if count_within_bound(ctx, 0) and k_set_is_empty(ell, factors):
+                yield ell, factors
+
+
+def find_ls(s: int, limit: int) -> LsRecord:
     """Smallest prime ell <= limit, ell = 1 mod 3, with at least s
-    distinct prime factors in ell-1 and an empty singular set.
+    distinct prime factors in ell-1 and an empty singular set: the first
+    prime _empty_primes yields.
 
     NOT-FOUND below the limit is a first-class result, not an error.
-    The candidates come from a plain sieve per block. Each is decided by
-    the count bound when it excludes a count of 0, else by the walk;
-    never by a matrix.
     """
-    if s < 2 or limit < 3 or block_size < 1:
-        raise ValueError("need s >= 2, limit >= 3 and block_size >= 1")
-    small = sieve_primes(math.isqrt(limit) + 1)
-    done = read_checkpoint(checkpoint_path) if checkpoint_path else set()
-    for lo in range(2, limit + 1, block_size):
-        hi = min(lo + block_size, limit + 1)
-        if (lo, hi) in done:
-            continue
-        for ell, factors in _block_candidates(lo, hi, s, small):
-            if _empty_after_bound(ell, factors):
-                return LsRecord(s=s, ell=ell, limit=limit, factorization=factors)
-        if checkpoint_path:
-            append_checkpoint(checkpoint_path, lo, hi)
-    return LsRecord(s=s, ell=None, limit=limit)
+    if s < 2 or limit < 3:
+        raise ValueError("need s >= 2 and limit >= 3")
+    ell, factors = next(_empty_primes(limit, s), (None, ()))
+    return LsRecord(s=s, ell=ell, limit=limit, factorization=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -377,16 +363,11 @@ def density_census(x: int) -> DensityReport:
     """Count primes <= x, = 1 mod 3, with empty singular set, next to the
     x^(3/4) (log x)^3 yardstick (no constant is asserted).
 
-    Each prime is decided by the count bound when it excludes a count of
-    0, else by the walk."""
+    The primes are what _empty_primes(x, 2) yields: for a prime
+    ell = 1 mod 3, ell-1 is a multiple of 6, so it has at least two
+    distinct prime factors and the scan keeps every such prime."""
     if x < 2:
         raise ValueError("x >= 2 required")
-    primes = sieve_primes(x)
-    hits = [
-        ell
-        for chunk in _shards(primes[primes % 3 == 1])
-        for ell, factors in zip(chunk.tolist(), sieve_factorizations(chunk - 1))
-        if _empty_after_bound(ell, factors)
-    ]
+    hits = [ell for ell, _ in _empty_primes(x, 2)]
     ref = x**0.75 * math.log(x) ** 3
     return DensityReport(x=x, count=len(hits), primes=tuple(hits), reference=ref)

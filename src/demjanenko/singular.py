@@ -77,8 +77,8 @@ class KSetReport:
             "m": self.ctx.m,
             "count": self.count,
             "members": list(self.members),
-            "main_term": _frac_str(self.main_term),
-            "error_bound": _frac_str(self.error_bound),
+            "main_term": frac_str(self.main_term),
+            "error_bound": frac_str(self.error_bound),
             "within_bound": self.within_bound,
         }
 
@@ -89,7 +89,8 @@ class MStat:
     M: int
 
 
-def _frac_str(f: Fraction) -> str:
+def frac_str(f: Fraction) -> str:
+    """p/q, the denominator kept even when it is 1."""
     return f"{f.numerator}/{f.denominator}"
 
 

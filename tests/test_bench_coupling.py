@@ -2,18 +2,22 @@
 
 `bench/tracing.py` finds each traced function with `getattr` on
 `demjanenko.<module>`, the other bench files read `<module>.<name>`
-attributes, and the bench tests call `exact_rank(dm, cap)` positionally;
-a rename or deletion would otherwise surface only in a benchmark run.
+attributes, the bench tests call `exact_rank(dm, cap)` positionally, and
+the workloads call into `search` with fixed argument shapes; a rename,
+deletion or change of signature would otherwise surface only in a
+benchmark run.
 """
 
 import ast
 import importlib
+import inspect
 import sys
 import types
 from pathlib import Path
 
 import pytest
 
+from demjanenko import search
 from demjanenko.arith import make_context
 from demjanenko.errors import DimensionTooLarge
 from demjanenko.matrix import build_matrix, exact_rank
@@ -64,3 +68,20 @@ def test_exact_rank_takes_cap_positionally():
     assert exact_rank(dm, dm.dimension) == 31
     with pytest.raises(DimensionTooLarge):
         exact_rank(dm, dm.dimension - 1)
+
+
+# the shapes of the bench's calls into search, in bench/workloads.py and
+# bench/worker.py: name -> (positional, keyword) arguments
+_BENCH_CALLS = {
+    "find_ls": ((5, 200_000), {}),
+    "lbm_scan": ((1, 1, 40, 1 << 40), {}),
+    "k_set_is_empty": ((19,), {}),
+    "k_witness": ((19,), {}),
+    "SearchConfig": ((), {"max_ell": 30_000, "workers": 1, "checkpoint_path": None}),
+}
+
+
+@pytest.mark.parametrize("name", list(_BENCH_CALLS))
+def test_bench_call_shapes_bind(name):
+    args, kwargs = _BENCH_CALLS[name]
+    inspect.signature(getattr(search, name)).bind(*args, **kwargs)

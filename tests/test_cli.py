@@ -8,8 +8,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demjanenko import arith
+from demjanenko import arith, search, singular
 from demjanenko.cli import main
+from demjanenko.errors import BoundViolation
 
 runner = CliRunner()
 
@@ -66,7 +67,8 @@ def test_kset_rationals_never_floats():
         pytest.param(["kset", "--ell", "134217757"], id="kset-over-scan-cap"),
         # sieves of about 1.4 TB
         pytest.param(["census", "--max-ell", "1000000000000"], id="census-huge-max-ell"),
-        pytest.param(["density", "--x", "1000000000000"], id="density-huge-x"),
+        # density sieves to sqrt(x): a 1.5 GB sieve
+        pytest.param(["density", "--x", str(10**18)], id="density-huge-x"),
         pytest.param(
             ["verify", "--mode", "oracle", "--max-ell", "1000000000000"],
             id="verify-oracle-huge-max-ell",
@@ -138,8 +140,24 @@ def test_census_json():
     res = runner.invoke(main, ["census", "--max-ell", "50", "--format", "json"])
     data = json.loads(res.output)
     assert [d["ell"] for d in data] == [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    reports = search.census(search.SearchConfig(max_ell=50))
+    assert res.output == json.dumps([rep.to_json() for rep in reports]) + "\n"
     for d in data:
         jsonschema.validate(d, KSET_SCHEMA)
+
+
+def test_census_json_streams_rows_before_a_bound_violation(monkeypatch):
+    first = singular.k_set(arith.make_context(3))
+
+    def violating(cfg):
+        yield first
+        raise BoundViolation("count 9 escapes the bound at ell=5")
+
+    monkeypatch.setattr(search, "census", violating)
+    res = runner.invoke(main, ["census", "--max-ell", "50", "--format", "json"])
+    assert res.exit_code == 1
+    assert res.stdout == "[" + json.dumps(first.to_json())
+    assert res.stderr.startswith("error: count 9 escapes")
 
 
 def test_matrix_dump():

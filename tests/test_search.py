@@ -1,6 +1,7 @@
 """Searches: census, the finite alpha=1 list, Table-style scans."""
 
 import dataclasses
+import functools
 import math
 import random
 
@@ -78,6 +79,23 @@ def test_k_witness_agrees_with_full_scan(ell):
         assert w in members
     else:
         assert w is None
+
+
+def _first_singular_on_the_walk(ell):
+    """k_witness by the definition: h^t for t = 1, 2, ... with h = g^(2^alpha),
+    g the smallest primitive root, until criterion accepts one."""
+    ctx = make_context(ell)
+    if ctx.beta == 0:
+        return None
+    n0 = (ell - 1) >> ctx.alpha
+    h = pow(arith.primitive_root(ctx), 1 << ctx.alpha, ell)
+    return next((k for k in (pow(h, t, ell) for t in range(1, n0))
+                 if criterion(ctx, k).in_k_set), None)
+
+
+def test_k_witness_is_the_first_singular_power_on_the_walk():
+    for ell in map(int, search.odd_primes(20_000)):
+        assert k_witness(ell) == _first_singular_on_the_walk(ell), ell
 
 
 def test_k_set_is_empty_routes_agree():
@@ -238,24 +256,11 @@ def test_find_ls_not_found_is_first_class():
     assert rec.ell is None and rec.limit == 10_000
 
 
-def test_find_ls_checkpoint_resume(tmp_path):
-    path = str(tmp_path / "ls.ckpt")
-    rec = find_ls(4, 10_000, block_size=2048, checkpoint_path=path)
-    assert rec.ell == 3121
-    # blocks before the hit are recorded; a fresh run still finds the value
-    assert read_checkpoint(path)
-    rec2 = find_ls(4, 10_000, block_size=2048, checkpoint_path=path)
-    assert rec2.ell == 3121
-
-
 def test_find_ls_validation():
     with pytest.raises(ValueError):
         find_ls(1, 100)
     with pytest.raises(ValueError):
         find_ls(3, 2)
-    for block_size in (0, -1):  # 0 used to loop forever, -1 died in numpy
-        with pytest.raises(ValueError):
-            find_ls(3, 100, block_size=block_size)
 
 
 def _factorint(n):
@@ -292,10 +297,11 @@ def _walk_every_candidate(s, limit):
 @pytest.mark.parametrize("s,limit", [
     (2, 1000), (3, 30), (3, 10_000), (4, 10_000), (5, 100_000), (5, 200_000),
 ])
-def test_find_ls_matches_walking_every_candidate(s, limit):
+def test_find_ls_matches_walking_every_candidate(s, limit, monkeypatch):
     expected = _walk_every_candidate(s, limit)
     for block_size in (777, 1 << 20):
-        rec = find_ls(s, limit, block_size=block_size)
+        monkeypatch.setattr(search, "_BLOCK", block_size)
+        rec = find_ls(s, limit)
         assert rec.ell == expected
         assert rec.factorization == (_factorint(expected - 1) if expected else ())
 
@@ -333,15 +339,34 @@ def test_lbm_scan_validation():
         lbm_scan(-1, 1, 10)
 
 
+@functools.cache
+def _walk_every_prime(x):
+    """density_census without the sieve or the bound."""
+    return [p for p in sympy.primerange(7, x + 1) if p % 3 == 1 and k_set_is_empty(p)]
+
+
 @pytest.mark.parametrize("x,count", [
     (200_000, None),
     pytest.param(10**6, 565, marks=pytest.mark.slow),
 ])
 def test_density_census_matches_walking_every_prime(x, count):
-    walked = [p for p in sympy.primerange(7, x + 1) if p % 3 == 1 and k_set_is_empty(p)]
     rep = density_census(x)
-    assert list(rep.primes) == walked
+    assert list(rep.primes) == _walk_every_prime(x)
     assert count is None or rep.count == count
+
+
+def test_density_census_sieves_blocks_with_the_primes_to_the_square_root(monkeypatch):
+    # blocks of 777 integers: the scan crosses a block boundary 257 times
+    sieved = []
+
+    def recording(n):
+        sieved.append(n)
+        return sieve_primes(n)
+
+    monkeypatch.setattr(search, "_BLOCK", 777)
+    monkeypatch.setattr(search, "sieve_primes", recording)
+    assert list(density_census(200_000).primes) == _walk_every_prime(200_000)
+    assert sieved and max(sieved) <= math.isqrt(200_000) + 1
 
 
 def test_scans_walk_only_the_primes_the_bound_leaves_open(monkeypatch):
