@@ -1,9 +1,9 @@
 """Integer and modular arithmetic kernels.
 
 Primality, factorization, multiplicative orders with their 2-adic and
-3-adic valuations, canonical representatives, discrete-log tables, and
-the checks of a table's peak memory against the machine's and of a
-modulus against int64.
+3-adic valuations, canonical representatives, power and discrete-log
+tables, and the checks of a table's peak memory against the machine's
+and of a modulus against int64.
 All functions here are pure and safe to call concurrently.
 """
 
@@ -281,7 +281,7 @@ def primitive_root(ctx: PrimeContext) -> int:
     raise NoPrimitiveRoot(f"no generator mod {ell}")
 
 
-def _power_table(g: int, n: int, ell: int) -> np.ndarray:
+def power_table(g: int, n: int, ell: int) -> np.ndarray:
     """g^j mod ell for j in [0, n), by doubling: each pass multiplies the
     filled prefix by the next power, in place. Requires ell < 2^31 so
     products fit in int64."""
@@ -306,34 +306,8 @@ def index_table(ctx: PrimeContext) -> np.ndarray:
     ell = ctx.ell
     g = primitive_root(ctx)
     n = ell - 1
-    powers = _power_table(g, n, ell)
+    powers = power_table(g, n, ell)
     ind = np.empty(ell, dtype=np.int64)
     ind[0] = -1
     ind[powers] = np.arange(n, dtype=np.int64)
     return ind
-
-
-def nu3_levels(n: int, beta: int) -> np.ndarray:
-    """int8 table of min(nu_3(j), beta) for j in [0, n); j = 0 maps to beta."""
-    v3 = np.zeros(n, dtype=np.int8)
-    for e in range(1, beta + 1):
-        v3[:: 3**e] += 1
-    return v3
-
-
-def odd_subgroup_tables(ctx: PrimeContext) -> tuple[np.ndarray, np.ndarray]:
-    """Powers and 3-adic levels over the subgroup of units of odd order.
-
-    With g the smallest primitive root, h = g^(2^alpha) generates the
-    n0 = (ell-1)/2^alpha units of odd order. Returns (powers, level):
-    powers[j] = h^j for j in [0, n0), and the int8 table level of size
-    ell with level[h^j] = min(nu_3(j), beta) = beta - nu_3(ord h^j) and
-    level[x] = -1 for x = 0 and every x of even order. Requires ell < 2^31.
-    """
-    ell = ctx.ell
-    n0 = (ell - 1) >> ctx.alpha
-    h = pow(primitive_root(ctx), 1 << ctx.alpha, ell)
-    powers = _power_table(h, n0, ell)
-    level = np.full(ell, -1, dtype=np.int8)
-    level[powers] = nu3_levels(n0, ctx.beta)
-    return powers, level

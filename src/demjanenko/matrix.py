@@ -60,19 +60,15 @@ def half_plane_set(ctx: PrimeContext, k: int) -> np.ndarray:
     return mask
 
 
-def stabilizer(mask: np.ndarray) -> tuple[int, ...]:
-    """Exact setwise stabilizer W of the half-plane set, sorted. It has
-    size 1 or 3, so it lies in the cube roots of unity; being a group,
-    it holds the nontrivial root w iff it holds w^2, so only w is
-    checked, by whether it maps the set into itself."""
-    ell = mask.size
-    if (ell - 1) % 3:
+def stabilizer(ctx: PrimeContext, k: int) -> tuple[int, ...]:
+    """Exact setwise stabilizer W of the half-plane set of k, sorted:
+    {1, k, k^2} when k^2 + k + 1 = 0 mod ell, that is when k is a cube
+    root of unity other than 1, and (1,) otherwise."""
+    check_k(ctx, k)
+    ell = ctx.ell
+    if (k * k + k + 1) % ell:
         return (1,)
-    e = (ell - 1) // 3
-    w = next(w for w in (pow(a, e, ell) for a in range(2, ell)) if w != 1)
-    if not mask[w * np.flatnonzero(mask) % ell].all():
-        return (1,)
-    return tuple(sorted((1, w, w * w % ell)))
+    return tuple(sorted({1, k, k * k % ell}))
 
 
 def build_matrix(ctx: PrimeContext, k: int) -> DemjanenkoMatrix:
@@ -87,9 +83,8 @@ def build_matrix(ctx: PrimeContext, k: int) -> DemjanenkoMatrix:
     ell = ctx.ell
     check_modulus(ell, "the Demjanenko matrix")
     check_memory(32 * ell, f"the Demjanenko matrix of ell={ell}")
-    mask = half_plane_set(ctx, k)
-    reps = np.flatnonzero(mask)
-    for w in stabilizer(mask)[1:]:  # keep the least member of each W-orbit
+    reps = np.flatnonzero(half_plane_set(ctx, k))
+    for w in stabilizer(ctx, k)[1:]:  # keep the least member of each W-orbit
         reps = reps[reps < w * reps % ell]
     return DemjanenkoMatrix(ell=ell, k=k, reps=tuple(reps.tolist()))
 

@@ -1,9 +1,8 @@
 """Range scans and targeted prime searches.
 
 The expensive primitive is deciding whether the singular set of a prime
-is empty. It is decided one way at every ell: walk the odd-order
-subgroup, which contains every possible singular k, so exhausting it
-certifies emptiness and the first hit certifies non-emptiness. The
+is empty; `singular.k_set_is_empty` decides it one way at every ell, by
+the walk over the odd-order subgroup, and this module calls it. The
 Table 1 search and the density census are one scan, `_empty_primes`: a
 block sieve yields the primes ell = 1 mod 3 with enough prime factors
 in ell-1, the paper's count bound decides each it can (where it
@@ -23,15 +22,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import (
-    check_memory,
-    context_from_factors,
-    factorize,
-    primitive_root,
-    probable_prime,
-)
-from .errors import BoundViolation, NotPrime
-from .singular import KSetReport, count_within_bound, k_set
+from .arith import check_memory, context_from_factors, probable_prime
+from .errors import BoundViolation
+from .singular import KSetReport, count_within_bound, k_set, k_set_is_empty, k_witness  # noqa: F401
 
 DEFAULT_LBM_BUDGET = 1 << 40
 
@@ -41,6 +34,10 @@ _SHARD = 512
 
 # Integers per block of the empty-prime scan.
 _BLOCK = 1 << 20
+
+# Candidates per sieve_factorizations call of the empty-prime scan, so
+# the factor tuples of a whole block are never held at once.
+_FACTOR_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -155,47 +152,6 @@ def ordered_map(fn, items: list, workers: int) -> Iterator[Iterator]:
 
 
 # ---------------------------------------------------------------------------
-# Emptiness of the singular set
-
-
-def k_witness(ell: int, factors=None) -> int | None:
-    """Some k in the singular set of ell, or None (certified empty).
-
-    Walks k = h^t over the subgroup of odd-order elements. Every
-    singular k has odd order divisible by 3, so it lies on the walk.
-    With 3^v = gcd(t, 3^beta) and v < beta, ord k has 3-adic
-    valuation beta - v >= 1, and it is 3 iff n0 divides 3t. Such a k is
-    singular iff -k^2-k lies in the odd subgroup at a level above v,
-    that is iff its n0/3^(v+1)-th power is 1: one modular power.
-    """
-    if not probable_prime(ell):
-        raise NotPrime(f"{ell} is not prime")
-    if factors is None:
-        factors = factorize(ell - 1)
-    ctx = context_from_factors(ell, factors)
-    alpha, beta = ctx.alpha, ctx.beta
-    if beta == 0:
-        return None
-    n0 = (ell - 1) >> alpha  # odd part, order of the walk subgroup
-    h = pow(primitive_root(ctx), 1 << alpha, ell)
-    top = 3**beta
-    k = 1
-    for t in range(1, n0):
-        k = k * h % ell
-        g = math.gcd(t, top)     # 3^v3(t), capped at 3^beta
-        if g == top or 3 * t % n0 == 0:
-            continue             # order of k prime to 3, or exactly 3
-        if pow(-k * (k + 1) % ell, n0 // (3 * g), ell) == 1:
-            return k
-    return None
-
-
-def k_set_is_empty(ell: int, factors=None) -> bool:
-    """True iff the singular set of ell is empty, certified by k_witness."""
-    return k_witness(ell, factors) is None
-
-
-# ---------------------------------------------------------------------------
 # Checkpoints: line-oriented "done <lo> <hi>"
 
 
@@ -281,12 +237,14 @@ def corollary712_search() -> list[int]:
 
 
 def _block_candidates(lo: int, hi: int, s: int, small: np.ndarray):
-    """(ell, factors of ell-1) for each prime ell = 1 mod 3 in [lo, hi),
-    lo >= 2, whose ell-1 has at least s distinct prime factors.
+    """Yield (ell, factors of ell-1), ascending, for each prime
+    ell = 1 mod 3 in [lo, hi), lo >= 2, whose ell-1 has at least s
+    distinct prime factors.
 
     small holds every prime <= isqrt(hi - 1). om counts the small primes
     dividing ell-1; as ell-1 has at most one prime factor past them, only
-    om >= s - 1 can reach s, and sieve_factorizations gives the count."""
+    om >= s - 1 can reach s, and sieve_factorizations, _FACTOR_CHUNK
+    candidates at a time, gives the count."""
     isp = np.ones(hi - lo, dtype=bool)
     om = np.zeros(hi - lo, dtype=np.int8)
     for p in small.tolist():
@@ -294,8 +252,11 @@ def _block_candidates(lo: int, hi: int, s: int, small: np.ndarray):
         om[(1 - lo) % p:: p] += 1
     ells = lo + np.flatnonzero(isp & (om >= s - 1))
     ells = ells[ells % 3 == 1]
-    pairs = zip(ells.tolist(), sieve_factorizations(ells - 1))
-    return [(ell, factors) for ell, factors in pairs if len(factors) >= s]
+    for i in range(0, len(ells), _FACTOR_CHUNK):
+        chunk = ells[i:i + _FACTOR_CHUNK]
+        for ell, factors in zip(chunk.tolist(), sieve_factorizations(chunk - 1)):
+            if len(factors) >= s:
+                yield ell, factors
 
 
 def _empty_primes(limit: int, s: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:

@@ -1,11 +1,14 @@
 """Singularity of the Demjanenko matrix via the order criterion.
 
 Membership of k in the singular set is decided by three conditions on
-the multiplicative orders of k, -k^2-k and k^2+k. This module computes
-the set in one vectorized pass over the odd-order subgroup with one int8
-table of 3-adic levels, its count against the asymptotic main term, the
-lcm statistic controlling the rank defect, and verifies the
-character-sum identities behind the count exactly, in integers.
+the multiplicative orders of k, -k^2-k and k^2+k. Every singular k lies
+in the subgroup of units of odd order, and this module owns both scans
+of it: the singular set in one vectorized pass with one int8 table of
+3-adic levels, and the walk that stops at the first singular k, which
+certifies emptiness when it finds none. It also gives the count against
+the asymptotic main term, the lcm statistic controlling the rank
+defect, and verifies the character-sum identities behind the count
+exactly, in integers.
 """
 
 from __future__ import annotations
@@ -20,12 +23,18 @@ from .arith import (
     PrimeContext,
     check_k,
     check_memory,
+    context_from_factors,
+    factorize,
     index_table,
     mult_order,
-    nu3_levels,
-    odd_subgroup_tables,
+    power_table,
+    primitive_root,
+    probable_prime,
 )
-from .errors import BetaZero, HOutOfRange
+from .errors import BetaZero, HOutOfRange, NotPrime
+
+# Denominator of sqrt_upper, so its error is below 10^-6.
+_SQRT_SCALE = 10**6
 
 
 @dataclass(frozen=True)
@@ -110,10 +119,9 @@ def criterion(ctx: PrimeContext, k: int) -> CriterionEvidence:
     )
 
 
-def sqrt_upper(n: int, digits: int = 6) -> Fraction:
-    """Rational upper bound for sqrt(n) with error below 10^-digits."""
-    scale = 10**digits
-    return Fraction(math.isqrt(n * scale * scale) + 1, scale)
+def sqrt_upper(n: int) -> Fraction:
+    """Rational upper bound for sqrt(n) with error below 10^-6."""
+    return Fraction(math.isqrt(n * _SQRT_SCALE**2) + 1, _SQRT_SCALE)
 
 
 def main_term(ctx: PrimeContext) -> Fraction:
@@ -140,29 +148,45 @@ def count_within_bound(ctx: PrimeContext, count: int) -> bool:
     return 16 * b * gap <= d * (64 * beta**2 * a + 33 * b)
 
 
+def _odd_subgroup(ctx: PrimeContext) -> tuple[int, int]:
+    """(n0, h): with g the smallest primitive root, h = g^(2^alpha)
+    generates the n0 = (ell-1)/2^alpha units of odd order."""
+    return (ctx.ell - 1) >> ctx.alpha, pow(primitive_root(ctx), 1 << ctx.alpha, ctx.ell)
+
+
+def _nu3_levels(n: int, beta: int) -> np.ndarray:
+    """int8 table of min(nu_3(j), beta) for j in [0, n); j = 0 maps to beta."""
+    v3 = np.zeros(n, dtype=np.int8)
+    for e in range(1, beta + 1):
+        v3[:: 3**e] += 1
+    return v3
+
+
 def k_set(ctx: PrimeContext) -> KSetReport:
     """All k in [1, ell-2] passing the criterion, with the count report.
 
     One vectorized pass over the odd-order subgroup, k = h^j with h of
     order n0 = (ell-1)/2^alpha: every singular k has odd order, so it
     lies there. With v3[j] = min(nu_3(j), beta) = beta - nu_3(ord h^j)
-    and the int8 table level (v3 of the subgroup log, -1 off it, so
-    failing against v3 >= 0), the conditions read (i) j not in {n0/3,
+    and the int8 table level (level[h^j] = v3[j], -1 off the subgroup,
+    so failing against v3 >= 0), the conditions read (i) j not in {n0/3,
     2n0/3} and (ii)+(iii) v3[j] < level[-k^2-k], since -1, of order 2,
     leaves the 3-part of an order alone. Agrees with criterion().
 
     Peak memory is max(ell + 17*n0, 10*n0 + 56*count) bytes: the int64
     powers and -k^2-k, the level table and its gather; then the members.
     A scan whose first peak exceeds physical memory is refused with
-    CapExceeded before anything is built.
+    CapExceeded before any table is built.
     """
     if ctx.beta == 0:
         members: tuple[int, ...] = ()
     else:
         ell = ctx.ell
-        n0 = (ell - 1) >> ctx.alpha
+        n0, h = _odd_subgroup(ctx)
         check_memory(ell + 17 * n0, f"the k_set scan of ell={ell}")
-        powers, level = odd_subgroup_tables(ctx)
+        powers = power_table(h, n0, ell)
+        level = np.full(ell, -1, dtype=np.int8)
+        level[powers] = _nu3_levels(n0, ctx.beta)
         k = powers[1:]                   # k = h^j for j in [1, n0)
         neg = k + 1
         neg *= k
@@ -170,10 +194,46 @@ def k_set(ctx: PrimeContext) -> KSetReport:
         np.subtract(ell, neg, out=neg)   # -k^2-k, a unit since k != 0, -1
         neg_level = level[neg]
         del neg, level                   # free both before the filters: peak memory
-        hit = nu3_levels(n0, ctx.beta)[1:] < neg_level
+        hit = _nu3_levels(n0, ctx.beta)[1:] < neg_level
         hit[n0 // 3 - 1] = hit[2 * n0 // 3 - 1] = False  # (i); 3 | n0 as beta >= 1
         members = tuple(np.sort(k[hit]).tolist())
     return KSetReport(ctx=ctx, members=members)
+
+
+def k_witness(ell: int, factors=None) -> int | None:
+    """Some k in the singular set of ell, or None (certified empty);
+    `factors`, when given, is the factorization of ell-1.
+
+    Walks k = h^t over the subgroup of odd-order elements. Every
+    singular k has odd order divisible by 3, so it lies on the walk.
+    With 3^v = gcd(t, 3^beta) and v < beta, ord k has 3-adic
+    valuation beta - v >= 1, and it is 3 iff n0 divides 3t. Such a k is
+    singular iff -k^2-k lies in the odd subgroup at a level above v,
+    that is iff its n0/3^(v+1)-th power is 1: one modular power.
+    """
+    if not probable_prime(ell):
+        raise NotPrime(f"{ell} is not prime")
+    if factors is None:
+        factors = factorize(ell - 1)
+    ctx = context_from_factors(ell, factors)
+    if ctx.beta == 0:
+        return None
+    n0, h = _odd_subgroup(ctx)
+    top = 3**ctx.beta
+    k = 1
+    for t in range(1, n0):
+        k = k * h % ell
+        g = math.gcd(t, top)     # 3^v3(t), capped at 3^beta
+        if g == top or 3 * t % n0 == 0:
+            continue             # order of k prime to 3, or exactly 3
+        if pow(-k * (k + 1) % ell, n0 // (3 * g), ell) == 1:
+            return k
+    return None
+
+
+def k_set_is_empty(ell: int, factors=None) -> bool:
+    """True iff the singular set of ell is empty, certified by k_witness."""
+    return k_witness(ell, factors) is None
 
 
 def m_value(ctx: PrimeContext, k: int) -> MStat:

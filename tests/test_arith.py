@@ -18,12 +18,13 @@ from demjanenko.arith import (
     make_context,
     mod_inverse,
     mult_order,
-    odd_subgroup_tables,
+    power_table,
     primitive_root,
     probable_prime,
     valuation,
 )
 from demjanenko.errors import CapExceeded, NotPrime, NotUnit, RangeExceeded
+from demjanenko.singular import _odd_subgroup
 
 
 def test_is_prime_small_range_matches_sympy():
@@ -201,16 +202,12 @@ def test_index_table_orders_agree():
 @pytest.mark.parametrize("ell", [7, 13, 31, 97, 211, 257, 7681, 995329])
 def test_odd_subgroup_tables(ell):
     ctx = make_context(ell)
-    n0 = (ell - 1) >> ctx.alpha
-    powers, level = odd_subgroup_tables(ctx)
-    assert powers.shape == (n0,) and level.shape == (ell,) and level.dtype == np.int8
+    n0, h = _odd_subgroup(ctx)
+    assert n0 == (ell - 1) >> ctx.alpha and n0 % 2 == 1
+    assert h == pow(primitive_root(ctx), 1 << ctx.alpha, ell)
+    powers = power_table(h, n0, ell)
+    assert powers.shape == (n0,) and powers.dtype == np.int64
     # n0 distinct units with x^n0 = 1 are the whole subgroup of odd order
     assert len(set(powers.tolist())) == n0
     assert all(pow(int(x), n0, ell) == 1 for x in powers)
-    h = pow(primitive_root(ctx), 1 << ctx.alpha, ell)
     assert all(pow(h, j, ell) == int(powers[j]) for j in range(n0))
-    for x in powers.tolist():
-        assert level[x] == ctx.beta - mult_order(x, ctx).nu3, x
-    odd = np.zeros(ell, dtype=bool)
-    odd[powers] = True
-    assert (level[~odd] == -1).all()

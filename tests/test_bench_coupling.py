@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from demjanenko import search
+from demjanenko import search, singular
 from demjanenko.arith import make_context
 from demjanenko.errors import DimensionTooLarge
 from demjanenko.matrix import build_matrix, exact_rank
@@ -85,3 +85,10 @@ _BENCH_CALLS = {
 def test_bench_call_shapes_bind(name):
     args, kwargs = _BENCH_CALLS[name]
     inspect.signature(getattr(search, name)).bind(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", ["k_set_is_empty", "k_witness"])
+def test_search_walk_names_are_the_singular_functions(name):
+    # the tracer patches by identity, and _empty_primes looks
+    # k_set_is_empty up on search
+    assert getattr(search, name) is getattr(singular, name)

@@ -165,6 +165,8 @@ def test_k_range_enforced():
             half_plane_set(ctx, bad)
         with pytest.raises(KOutOfRange):
             build_matrix(ctx, bad)
+        with pytest.raises(KOutOfRange):
+            stabilizer(ctx, bad)
 
 
 @pytest.mark.parametrize("ell", [7, 13, 31, 61, 67])
@@ -172,7 +174,7 @@ def test_stabilizer_size_matches_root_condition(ell):
     # |W| = 3 exactly when k^2+k+1 = 0 mod ell, else 1
     ctx = make_context(ell)
     for k in range(1, ell - 1):
-        stab = stabilizer(half_plane_set(ctx, k))
+        stab = stabilizer(ctx, k)
         expect = 3 if (k * k + k + 1) % ell == 0 else 1
         assert len(stab) == expect
         assert 1 in stab
@@ -191,13 +193,13 @@ def test_stabilizer_matches_all_units_scan():
         ctx = make_context(ell)
         for k in range(1, ell - 1):
             mask = half_plane_set(ctx, k)
-            assert stabilizer(mask) == _stabilizer_all_units(mask), (ell, k)
+            assert stabilizer(ctx, k) == _stabilizer_all_units(mask), (ell, k)
 
 
 def test_stabilizer_elements_fix_the_set():
     ctx = make_context(13)
     mask = half_plane_set(ctx, 3)  # 3^2+3+1 = 13
-    stab = stabilizer(mask)
+    stab = stabilizer(ctx, 3)
     assert len(stab) == 3
     members = set(np.flatnonzero(mask).tolist())
     for w in stab:
@@ -209,7 +211,7 @@ def test_coset_reps_partition(ell):
     ctx = make_context(ell)
     for k in range(1, ell - 1):
         mask = half_plane_set(ctx, k)
-        stab = stabilizer(mask)
+        stab = stabilizer(ctx, k)
         reps = build_matrix(ctx, k).reps
         assert len(reps) * len(stab) == mask.sum()
         assert list(reps) == sorted(reps)
@@ -454,7 +456,7 @@ def test_orders_on_reps_well_defined():
     # the matrix entry only depends on the cosets
     ctx = make_context(13)
     mask = half_plane_set(ctx, 3)
-    stab = stabilizer(mask)
+    stab = stabilizer(ctx, 3)
     members = np.flatnonzero(mask).tolist()
     for c in members:
         for a in members:
@@ -467,6 +469,6 @@ def test_orders_on_reps_well_defined():
 def test_mult_order_consistency_with_stabilizer():
     # the nontrivial stabilizer element has order 3
     ctx = make_context(13)
-    stab = stabilizer(half_plane_set(ctx, 3))
+    stab = stabilizer(ctx, 3)
     others = [w for w in stab if w != 1]
     assert all(mult_order(w, ctx).order == 3 for w in others)

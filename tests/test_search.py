@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import sympy
 
-from demjanenko import arith, search
+from demjanenko import arith, search, singular
 from demjanenko.arith import make_context
 from demjanenko.errors import BoundViolation, CapExceeded, NotPrime
 from demjanenko.search import (
@@ -144,12 +144,14 @@ def test_census_workers_deterministic():
 
 
 def _refuse_per_prime_work(monkeypatch):
-    """Make every per-prime primality test or factorization raise, both
-    where search looks them up and where make_context does."""
+    """Make every per-prime primality test or factorization raise, where
+    search and the walk in singular look them up and where make_context
+    does."""
     def refuse(*args):
         raise AssertionError("a per-prime primality test or factorization ran")
 
-    for module in (search, arith):
+    monkeypatch.setattr(search, "probable_prime", refuse)
+    for module in (singular, arith):
         monkeypatch.setattr(module, "factorize", refuse)
         monkeypatch.setattr(module, "probable_prime", refuse)
 
@@ -367,6 +369,20 @@ def test_density_census_sieves_blocks_with_the_primes_to_the_square_root(monkeyp
     monkeypatch.setattr(search, "sieve_primes", recording)
     assert list(density_census(200_000).primes) == _walk_every_prime(200_000)
     assert sieved and max(sieved) <= math.isqrt(200_000) + 1
+
+
+def test_density_census_factors_one_chunk_at_a_time(monkeypatch):
+    # 8988 candidates below 2e5 share one block of 2^20 integers
+    sizes = []
+
+    def recording(n):
+        sizes.append(n.size)
+        return sieve_factorizations(n)
+
+    monkeypatch.setattr(search, "sieve_factorizations", recording)
+    assert list(density_census(200_000).primes) == _walk_every_prime(200_000)
+    assert sum(sizes) == 8988
+    assert max(sizes) <= search._FACTOR_CHUNK
 
 
 def test_scans_walk_only_the_primes_the_bound_leaves_open(monkeypatch):

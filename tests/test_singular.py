@@ -15,7 +15,7 @@ from demjanenko.arith import (
     is_prime,
     make_context,
     mult_order,
-    odd_subgroup_tables,
+    power_table,
     primitive_root,
     valuation,
 )
@@ -160,8 +160,8 @@ def _int32_log_members(ctx) -> tuple[int, ...]:
     if ctx.beta == 0:
         return ()
     ell = ctx.ell
-    n0 = (ell - 1) >> ctx.alpha
-    powers = odd_subgroup_tables(ctx)[0]
+    n0, h = singular._odd_subgroup(ctx)
+    powers = power_table(h, n0, ell)
     log = np.full(ell, -1, dtype=np.int32)
     log[powers] = np.arange(n0, dtype=np.int32)
     k = powers[1:]
