@@ -3,11 +3,8 @@
 from .arith import (
     OrderProfile,
     PrimeContext,
-    canonical_rep,
     factorize,
-    is_prime,
     make_context,
-    mod_inverse,
     mult_order,
 )
 from .cyclotomic import (
@@ -54,8 +51,7 @@ from .verify import k_set_oracle
 __version__ = "0.1.0"
 
 __all__ = [
-    "OrderProfile", "PrimeContext", "canonical_rep", "factorize", "is_prime",
-    "make_context", "mod_inverse", "mult_order",
+    "OrderProfile", "PrimeContext", "factorize", "make_context", "mult_order",
     "IntPolynomial", "ResultantRecord", "compose_neg_quadratic",
     "cyclotomic_poly", "l_set", "resultant",
     "DemjanenkoMatrix", "build_matrix", "dump_matrix", "exact_rank",

@@ -1,9 +1,8 @@
 """Integer and modular arithmetic kernels.
 
 Primality, factorization, multiplicative orders with their 2-adic and
-3-adic valuations, canonical representatives, power and discrete-log
-tables, and the checks of a table's peak memory against the machine's
-and of a modulus against int64.
+3-adic valuations, power and discrete-log tables, and the checks of a
+table's peak memory against the machine's and of a modulus against int64.
 All functions here are pure and safe to call concurrently.
 """
 
@@ -17,12 +16,9 @@ import numpy as np
 
 from .errors import CapExceeded, KOutOfRange, NoPrimitiveRoot, NotPrime, NotUnit, RangeExceeded
 
-MACHINE_LIMIT = 1 << 63
-
 # Sorenson & Webster witness set: Miller-Rabin with these bases is
 # exhaustive (no pseudoprime) below 3.317e24.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-DETERMINISTIC_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
 
 # Trial division covers the small primes only; rho finds a prime factor
 # p in about sqrt(p) squarings, so one below 10^6 costs it about 10^3,
@@ -115,10 +111,10 @@ def _miller_rabin(n: int, bases=_WITNESSES) -> bool:
 
 
 def probable_prime(n: int) -> bool:
-    """Primality without the machine-range guard.
+    """Primality of any integer n: Miller-Rabin to the bases _WITNESSES.
 
-    Deterministic below DETERMINISTIC_PRIME_LIMIT; above it the fixed
-    witness set is heuristic (no counterexample known).
+    Deterministic below 3.317e24; above it the fixed witness set is
+    heuristic (no counterexample known).
     """
     if n < 2:
         return False
@@ -126,13 +122,6 @@ def probable_prime(n: int) -> bool:
         if n % p == 0:
             return n == p
     return _miller_rabin(n)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic primality for 2 <= n <= 2^63."""
-    if n > MACHINE_LIMIT:
-        raise RangeExceeded(f"is_prime argument {n} exceeds 2^63")
-    return probable_prime(n)
 
 
 def _brent_rho(n: int) -> int:
@@ -241,21 +230,6 @@ def check_k(ctx: PrimeContext, k: int) -> None:
     """Reject k outside [1, ell-2]."""
     if not 1 <= k <= ctx.ell - 2:
         raise KOutOfRange(f"k={k} outside [1, {ctx.ell - 2}]")
-
-
-def canonical_rep(j: int, ell: int) -> int:
-    """The representative of j mod ell in {1, ..., ell-1}."""
-    r = j % ell
-    if r == 0:
-        raise NotUnit(f"{j} is divisible by {ell}")
-    return r
-
-
-def mod_inverse(u: int, ell: int) -> int:
-    """Inverse of u modulo the prime ell."""
-    if u % ell == 0:
-        raise NotUnit(f"{u} is divisible by {ell}")
-    return pow(u, -1, ell)
 
 
 def mult_order(u: int, ctx: PrimeContext) -> OrderProfile:

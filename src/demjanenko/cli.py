@@ -244,13 +244,14 @@ def mstats(ell, fmt):
     ctx = arith.make_context(ell)
     rep = singular.k_set(ctx)
     stats = [singular.m_value(ctx, k) for k in rep.members]
+    mn = min((s.M for s in stats), default=None)
     if fmt == "json":
         click.echo(
             json.dumps(
                 {
                     "ell": ell,
                     "count": len(stats),
-                    "min_m": min((s.M for s in stats), default=None),
+                    "min_m": mn,
                     "values": [{"k": s.k, "M": s.M} for s in stats],
                 }
             )
@@ -258,7 +259,6 @@ def mstats(ell, fmt):
     else:
         for s in stats:
             click.echo(f"k={s.k} M={s.M}")
-        mn = min((s.M for s in stats), default=None)
         click.echo(f"count={len(stats)} min_M={mn}")
 
 

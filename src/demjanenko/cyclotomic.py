@@ -27,18 +27,8 @@ class IntPolynomial:
             raise ValueError("leading coefficient must be nonzero")
 
     @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1  # -1 for the zero polynomial
-
-    @property
     def is_zero(self) -> bool:
         return not self.coefficients
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
 
 
 def poly(coeffs) -> IntPolynomial:

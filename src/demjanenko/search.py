@@ -67,8 +67,11 @@ class LsRecord:
 class LbmRow:
     alpha: int
     ell: int
-    in_l: bool | None        # None when the row was skipped
-    skipped: bool = False
+    in_l: bool | None        # None when ell is over the budget: skipped
+
+    @property
+    def skipped(self) -> bool:
+        return self.in_l is None
 
 
 @dataclass(frozen=True)
@@ -308,10 +311,7 @@ def lbm_scan(
         ell = 2**alpha * 3**beta * m + 1
         if not probable_prime(ell):
             continue
-        if ell > budget:
-            rows.append(LbmRow(alpha=alpha, ell=ell, in_l=None, skipped=True))
-            continue
-        in_l = not k_set_is_empty(ell)
+        in_l = None if ell > budget else not k_set_is_empty(ell)
         rows.append(LbmRow(alpha=alpha, ell=ell, in_l=in_l))
     return rows
 

@@ -10,25 +10,21 @@ from hypothesis import strategies as st
 
 from demjanenko import arith
 from demjanenko.arith import (
-    DETERMINISTIC_PRIME_LIMIT,
-    canonical_rep,
     factorize,
     index_table,
-    is_prime,
     make_context,
-    mod_inverse,
     mult_order,
     power_table,
     primitive_root,
     probable_prime,
     valuation,
 )
-from demjanenko.errors import CapExceeded, NotPrime, NotUnit, RangeExceeded
+from demjanenko.errors import CapExceeded, NotPrime, NotUnit
 from demjanenko.singular import _odd_subgroup
 
 
 def test_is_prime_small_range_matches_sympy():
-    ours = [n for n in range(2, 2000) if is_prime(n)]
+    ours = [n for n in range(2, 2000) if probable_prime(n)]
     theirs = list(sympy.primerange(2, 2000))
     assert ours == theirs
 
@@ -36,21 +32,13 @@ def test_is_prime_small_range_matches_sympy():
 def test_is_prime_rejects_strong_pseudoprimes():
     # strong pseudoprimes to base 2; must all be rejected
     for n in (2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141):
-        assert not is_prime(n)
+        assert not probable_prime(n)
         assert sympy.isprime(n) is False
 
 
 def test_is_prime_large_primes():
-    assert is_prime(2**61 - 1)
-    assert not is_prime(2**62 - 1)
-
-
-def test_is_prime_range_guard():
-    with pytest.raises(RangeExceeded):
-        is_prime(2**63 + 1)
-    # probable_prime has no guard and the witness set is still exhaustive here
-    assert probable_prime(2**63 + 1) is False
-    assert DETERMINISTIC_PRIME_LIMIT > 2**63
+    assert probable_prime(2**61 - 1)
+    assert not probable_prime(2**62 - 1)
 
 
 @given(st.integers(min_value=2, max_value=10**6))
@@ -59,7 +47,7 @@ def test_factorize_roundtrip(n):
     factors = factorize(n)
     prod = 1
     for p, e in factors:
-        assert is_prime(p)
+        assert probable_prime(p)
         assert e >= 1
         prod *= p**e
     assert prod == n
@@ -126,23 +114,6 @@ def test_make_context_rejects_composite():
         make_context(15)
     with pytest.raises(NotPrime):
         make_context(2)
-
-
-def test_canonical_rep():
-    assert canonical_rep(-1, 7) == 6
-    assert canonical_rep(15, 7) == 1
-    with pytest.raises(NotUnit):
-        canonical_rep(14, 7)
-
-
-@given(st.sampled_from([7, 13, 31, 97, 211]), st.integers(min_value=1, max_value=10**6))
-@settings(max_examples=200, deadline=None)
-def test_mod_inverse(ell, u):
-    if u % ell == 0:
-        with pytest.raises(NotUnit):
-            mod_inverse(u, ell)
-    else:
-        assert u * mod_inverse(u, ell) % ell == 1
 
 
 def _order_brute(u, ell):

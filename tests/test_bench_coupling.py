@@ -6,6 +6,12 @@ attributes, the bench tests call `exact_rank(dm, cap)` positionally, and
 the workloads call into `search` with fixed argument shapes; a rename,
 deletion or change of signature would otherwise surface only in a
 benchmark run.
+
+Three names stay in the library only for the bench: `exact_rank`'s
+`cap` parameter and the `DimensionTooLarge` it raises (the bench calls
+`exact_rank(dm, cap)`), and `matrix.rank_mod` (a `TRACED` entry and five
+bench metrics). No library or CLI code calls them; they go when the
+bench stops binding them.
 """
 
 import ast

@@ -12,11 +12,11 @@ import pytest
 from demjanenko import arith, singular
 from demjanenko.arith import (
     index_table,
-    is_prime,
     make_context,
     mult_order,
     power_table,
     primitive_root,
+    probable_prime,
     valuation,
 )
 from demjanenko.errors import BetaZero, CapExceeded, HOutOfRange, KOutOfRange
@@ -181,7 +181,7 @@ def _seeded_prime(seed: int, alpha: int, beta: int, base: int = 1 << 22) -> int:
     rng = random.Random(seed)
     while True:
         ell = base + rng.randrange(base // 64)
-        if valuation(ell - 1, 2) == alpha and valuation(ell - 1, 3) == beta and is_prime(ell):
+        if valuation(ell - 1, 2) == alpha and valuation(ell - 1, 3) == beta and probable_prime(ell):
             return ell
 
 
