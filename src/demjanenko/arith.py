@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,20 +40,24 @@ PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 @dataclass(frozen=True)
 class PrimeContext:
-    """A prime ell together with the factorization ell-1 = 2^alpha 3^beta m."""
+    """A prime ell with the factorization of ell-1, sorted by prime;
+    alpha, beta and m of ell-1 = 2^alpha 3^beta m are derived from it.
+    The caller proves ell prime: make_context tests it, a sieve proves it."""
 
     ell: int
-    alpha: int
-    beta: int
-    m: int
     factors: tuple[tuple[int, int], ...]
+    alpha: int = field(init=False)
+    beta: int = field(init=False)
+    m: int = field(init=False)
 
     def __post_init__(self):
-        n = 1
-        for p, e in self.factors:
-            n *= p**e
-        if n != self.ell - 1:
+        if math.prod(p**e for p, e in self.factors) != self.ell - 1:
             raise ValueError("factor list does not reconstruct ell-1")
+        fd = dict(self.factors)
+        alpha, beta = fd.get(2, 0), fd.get(3, 0)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "m", (self.ell - 1 >> alpha) // 3**beta)
 
 
 @dataclass(frozen=True)
@@ -210,20 +214,11 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out.items()))
 
 
-def context_from_factors(ell: int, factors) -> PrimeContext:
-    """The PrimeContext of ell from a known factorization of ell-1."""
-    fd = dict(factors)
-    alpha = fd.get(2, 0)
-    beta = fd.get(3, 0)
-    m = (ell - 1) // (2**alpha * 3**beta)
-    return PrimeContext(ell=ell, alpha=alpha, beta=beta, m=m, factors=factors)
-
-
 def make_context(ell: int) -> PrimeContext:
-    """Build the PrimeContext for an odd prime ell."""
+    """The PrimeContext of an odd prime ell; NotPrime for any other ell."""
     if ell < 3 or not probable_prime(ell):
         raise NotPrime(f"{ell} is not an odd prime")
-    return context_from_factors(ell, factorize(ell - 1))
+    return PrimeContext(ell, factorize(ell - 1))
 
 
 def check_k(ctx: PrimeContext, k: int) -> None:

@@ -84,7 +84,8 @@ def kset(ell, fmt):
 @click.option("--checkpoint", type=click.Path(), default=None)
 @_format_option("json", "csv")
 def census(max_ell, workers, checkpoint, fmt):
-    """Reports for every odd prime up to the limit."""
+    """Reports for every odd prime up to the limit. A run resumed from
+    --checkpoint prints only the shards not yet done."""
     if max_ell < 3:
         raise ValueError("--max-ell must be at least 3")
     cfg = search.SearchConfig(

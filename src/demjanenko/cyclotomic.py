@@ -192,6 +192,8 @@ def l_set(a: int, b: int, d: int, e: int) -> ResultantRecord:
     cyclotomic composed with -X^2-X, plus its prime divisors."""
     if a < 1 or b < 0 or b > a - 1:
         raise ValueError(f"need 1 <= a and 0 <= b <= a-1, got a={a}, b={b}")
+    if d < 1 or e < 1:
+        raise ValueError(f"need d >= 1 and e >= 1, got d={d}, e={e}")
     if math.gcd(d, 6) != 1 or math.gcd(e, 6) != 1:
         raise ValueError("d and e must be coprime to 6")
     # Only a=1, d=1 lets the two share a root: a common root x is a root of

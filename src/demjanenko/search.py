@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import check_memory, context_from_factors, probable_prime
+from .arith import PrimeContext, check_memory, factorize, probable_prime
 from .errors import BoundViolation
 from .singular import KSetReport, count_within_bound, k_set, k_set_is_empty, k_witness  # noqa: F401
 
@@ -77,9 +77,12 @@ class LbmRow:
 @dataclass(frozen=True)
 class DensityReport:
     x: int
-    count: int
     primes: tuple[int, ...]
     reference: float         # x^(3/4) (log x)^3, no asserted constant
+
+    @property
+    def count(self) -> int:
+        return len(self.primes)
 
     def to_json(self) -> dict:
         return {
@@ -187,7 +190,7 @@ def _census_chunk(primes: np.ndarray) -> list[KSetReport]:
     """The reports of a shard of odd primes from the sieve: their
     primality is known and the factors of ell-1 come from the shard."""
     return [
-        k_set(context_from_factors(ell, factors))
+        k_set(PrimeContext(ell, factors))
         for ell, factors in zip(primes.tolist(), sieve_factorizations(primes - 1))
     ]
 
@@ -273,8 +276,7 @@ def _empty_primes(limit: int, s: int) -> Iterator[tuple[int, tuple[tuple[int, in
     small = sieve_primes(math.isqrt(limit) + 1)
     for lo in range(2, limit + 1, _BLOCK):
         for ell, factors in _block_candidates(lo, min(lo + _BLOCK, limit + 1), s, small):
-            ctx = context_from_factors(ell, factors)
-            if count_within_bound(ctx, 0) and k_set_is_empty(ell, factors):
+            if count_within_bound(PrimeContext(ell, factors), 0) and k_set_is_empty(ell, factors):
                 yield ell, factors
 
 
@@ -303,15 +305,16 @@ def lbm_scan(
 ) -> list[LbmRow]:
     """For each alpha with 2^alpha 3^beta m + 1 prime, report whether the
     singular set is non-empty. Rows above the budget are skipped, never
-    fabricated."""
-    if math.gcd(m, 6) != 1 or alpha_max < 1 or beta < 0:
-        raise ValueError("need gcd(m,6)=1, alpha_max >= 1, beta >= 0")
+    fabricated. m is factored once, for every walk."""
+    if m < 1 or math.gcd(m, 6) != 1 or alpha_max < 1 or beta < 0:
+        raise ValueError("need m >= 1 with gcd(m,6)=1, alpha_max >= 1, beta >= 0")
+    odd_factors = (((3, beta),) if beta else ()) + factorize(m)
     rows = []
     for alpha in range(1, alpha_max + 1):
         ell = 2**alpha * 3**beta * m + 1
         if not probable_prime(ell):
             continue
-        in_l = None if ell > budget else not k_set_is_empty(ell)
+        in_l = None if ell > budget else not k_set_is_empty(ell, ((2, alpha),) + odd_factors)
         rows.append(LbmRow(alpha=alpha, ell=ell, in_l=in_l))
     return rows
 
@@ -331,4 +334,4 @@ def density_census(x: int) -> DensityReport:
         raise ValueError("x >= 2 required")
     hits = [ell for ell, _ in _empty_primes(x, 2)]
     ref = x**0.75 * math.log(x) ** 3
-    return DensityReport(x=x, count=len(hits), primes=tuple(hits), reference=ref)
+    return DensityReport(x=x, primes=tuple(hits), reference=ref)

@@ -23,15 +23,13 @@ from .arith import (
     PrimeContext,
     check_k,
     check_memory,
-    context_from_factors,
-    factorize,
     index_table,
+    make_context,
     mult_order,
     power_table,
     primitive_root,
-    probable_prime,
 )
-from .errors import BetaZero, HOutOfRange, NotPrime
+from .errors import BetaZero, HOutOfRange
 
 # Denominator of sqrt_upper, so its error is below 10^-6.
 _SQRT_SCALE = 10**6
@@ -39,7 +37,6 @@ _SQRT_SCALE = 10**6
 
 @dataclass(frozen=True)
 class CriterionEvidence:
-    k: int
     cond_i: bool
     cond_ii: bool
     cond_iii: bool
@@ -112,7 +109,6 @@ def criterion(ctx: PrimeContext, k: int) -> CriterionEvidence:
     ord_neg = mult_order(ell - pos, ctx)
     ord_pos = mult_order(pos, ctx)
     return CriterionEvidence(
-        k=k,
         cond_i=ord_k.order != 3,
         cond_ii=ord_k.nu2 == 0 and ord_neg.nu2 == 0,
         cond_iii=ord_k.nu3 > ord_pos.nu3,
@@ -201,8 +197,9 @@ def k_set(ctx: PrimeContext) -> KSetReport:
 
 
 def k_witness(ell: int, factors=None) -> int | None:
-    """Some k in the singular set of ell, or None (certified empty);
-    `factors`, when given, is the factorization of ell-1.
+    """Some k in the singular set of ell, or None (certified empty).
+    `factors`, the factorization of ell-1, comes from a caller that has
+    proven ell prime; without it make_context tests and factors ell.
 
     Walks k = h^t over the subgroup of odd-order elements. Every
     singular k has odd order divisible by 3, so it lies on the walk.
@@ -211,11 +208,7 @@ def k_witness(ell: int, factors=None) -> int | None:
     singular iff -k^2-k lies in the odd subgroup at a level above v,
     that is iff its n0/3^(v+1)-th power is 1: one modular power.
     """
-    if not probable_prime(ell):
-        raise NotPrime(f"{ell} is not prime")
-    if factors is None:
-        factors = factorize(ell - 1)
-    ctx = context_from_factors(ell, factors)
+    ctx = make_context(ell) if factors is None else PrimeContext(ell, factors)
     if ctx.beta == 0:
         return None
     n0, h = _odd_subgroup(ctx)

@@ -1,6 +1,7 @@
 """Arithmetic kernels against brute-force and sympy oracles."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from demjanenko import arith
 from demjanenko.arith import (
+    PrimeContext,
     factorize,
     index_table,
     make_context,
@@ -107,6 +109,23 @@ def test_make_context_fields():
     ctx = make_context(31)
     assert (ctx.alpha, ctx.beta, ctx.m) == (1, 1, 5)
     assert math.prod(p**e for p, e in ctx.factors) == 30
+
+
+def test_prime_context_rejects_factors_off_ell_minus_1():
+    assert PrimeContext(13, ((2, 2), (3, 1))).m == 1
+    for factors in [((2, 2),), ((2, 2), (3, 1), (5, 1)), ((2, 1), (3, 2))]:
+        with pytest.raises(ValueError, match="reconstruct"):
+            PrimeContext(13, factors)
+
+
+def test_prime_context_derives_the_valuations_of_its_factors():
+    primes = [int(p) for p in sympy.primerange(3, 5000)] + [127681, 25858561, 2091048961]
+    for ell in primes:
+        factors = factorize(ell - 1)
+        ctx = PrimeContext(ell, factors)
+        alpha, beta = valuation(ell - 1, 2), valuation(ell - 1, 3)
+        assert (ctx.alpha, ctx.beta, ctx.m) == (alpha, beta, (ell - 1) // (2**alpha * 3**beta))
+        assert ctx == make_context(ell) == pickle.loads(pickle.dumps(ctx))
 
 
 def test_make_context_rejects_composite():

@@ -93,6 +93,8 @@ def test_kset_rationals_never_floats():
         ),
         # rejected before s = 3..5 run, so no row precedes the error
         pytest.param(["table1", "--limit-s6", "2"], id="table1-limit-s6-2"),
+        # d < 1, although gcd(-5, 6) == 1
+        pytest.param(["lset", "--a", "2", "--b", "1", "--d", "-5"], id="lset-d-negative"),
         # rho passes its work cap on a 165-digit cofactor of the resultant
         pytest.param(
             ["lset", "--a", "3", "--b", "2", "--d", "7", "--e", "7"], id="lset-rho-cap"

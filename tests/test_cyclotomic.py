@@ -209,5 +209,8 @@ def test_l_set_validation():
         l_set(2, 2, 1, 1)   # b > a-1
     with pytest.raises(ValueError):
         l_set(2, 1, 2, 1)   # d not coprime to 6
+    for d, e in [(-5, 1), (1, -1), (0, 1)]:
+        with pytest.raises(ValueError, match="need d >= 1 and e >= 1"):
+            l_set(2, 1, d, e)
     with pytest.raises(DegenerateParameters):
         l_set(1, 0, 1, 1)

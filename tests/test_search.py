@@ -111,6 +111,14 @@ def test_k_set_is_empty_rejects_composite():
     # 25 - 1 = 2^3 * 3: without the primality check the walk would run
     with pytest.raises(NotPrime):
         k_set_is_empty(25)
+    with pytest.raises(NotPrime):
+        k_witness(2)  # as make_context(2)
+
+
+def test_k_witness_trusts_the_sieve_factors():
+    primes = search.odd_primes(30_000)
+    for ell, factors in zip(primes.tolist(), sieve_factorizations(primes - 1)):
+        assert k_witness(ell, factors) == k_witness(ell), ell
 
 
 def test_k_set_is_empty_large_prime_uses_walk():
@@ -138,22 +146,24 @@ def test_census_counts_and_order():
 
 
 def test_census_workers_deterministic():
-    one = [(r.ctx.ell, r.members) for r in census(SearchConfig(max_ell=2000, workers=1))]
-    two = [(r.ctx.ell, r.members) for r in census(SearchConfig(max_ell=2000, workers=2))]
+    # whole reports: the contexts pickled back from the workers keep the
+    # alpha, beta and m that PrimeContext sets in __post_init__ only
+    one = list(census(SearchConfig(max_ell=2000, workers=1)))
+    two = list(census(SearchConfig(max_ell=2000, workers=2)))
     assert one == two
 
 
 def _refuse_per_prime_work(monkeypatch):
     """Make every per-prime primality test or factorization raise, where
-    search and the walk in singular look them up and where make_context
-    does."""
+    search looks them up, where make_context does, and in singular, whose
+    walk builds a context by make_context when no factors are passed."""
     def refuse(*args):
         raise AssertionError("a per-prime primality test or factorization ran")
 
-    monkeypatch.setattr(search, "probable_prime", refuse)
-    for module in (singular, arith):
-        monkeypatch.setattr(module, "factorize", refuse)
-        monkeypatch.setattr(module, "probable_prime", refuse)
+    for module in (search, singular, arith):
+        monkeypatch.setattr(module, "factorize", refuse, raising=False)
+        monkeypatch.setattr(module, "probable_prime", refuse, raising=False)
+    monkeypatch.setattr(singular, "make_context", refuse)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -162,6 +172,13 @@ def test_census_takes_primality_and_factors_from_the_sieve(monkeypatch, workers)
     expected = [k_set(make_context(p)) for p in primes]
     _refuse_per_prime_work(monkeypatch)
     assert list(census(SearchConfig(max_ell=5000, workers=workers))) == expected
+
+
+def test_scans_take_primality_and_factors_from_the_sieve(monkeypatch):
+    expected = _walk_every_prime(20_000)
+    _refuse_per_prime_work(monkeypatch)
+    assert find_ls(5, 200_000).ell == 127681
+    assert list(density_census(20_000).primes) == expected
 
 
 def test_census_raises_on_a_count_past_the_bound(monkeypatch):
@@ -334,11 +351,30 @@ def test_lbm_scan_nonempty_family():
     assert hit[67] is True
 
 
+@pytest.mark.parametrize("beta,m,alpha_max", [(0, 1, 16), (2, 5, 14)])
+def test_lbm_scan_factors_m_once(monkeypatch, beta, m, alpha_max):
+    # each walk takes ell-1 = 2^alpha 3^beta m from the scan, never re-factored
+    expected = [
+        (a, ell, not k_set_is_empty(ell))
+        for a in range(1, alpha_max + 1)
+        if sympy.isprime(ell := 2**a * 3**beta * m + 1)
+    ]
+    factored = []
+    real = arith.factorize
+    for module in (search, arith):
+        monkeypatch.setattr(module, "factorize", lambda n: factored.append(n) or real(n))
+    rows = lbm_scan(beta, m, alpha_max)
+    assert [(r.alpha, r.ell, r.in_l) for r in rows] == expected
+    assert factored == [m]
+
+
 def test_lbm_scan_validation():
     with pytest.raises(ValueError):
         lbm_scan(1, 2, 10)   # m not coprime to 6
     with pytest.raises(ValueError):
         lbm_scan(-1, 1, 10)
+    with pytest.raises(ValueError):
+        lbm_scan(1, -1, 10)   # m < 1: the family has no prime
 
 
 @functools.cache
