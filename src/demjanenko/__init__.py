@@ -39,14 +39,10 @@ from .singular import (
     KSetReport,
     MStat,
     criterion,
-    indicator_eta,
-    indicator_zeta,
     k_set,
     m_value,
-    verify_bsum_identities,
-    verify_character_identities,
 )
-from .verify import k_set_oracle
+from .verify import k_set_oracle, verify_bsum_identities, verify_character_identities
 
 __version__ = "0.1.0"
 
@@ -58,8 +54,8 @@ __all__ = [
     "half_plane_set", "rank_formula_value", "stabilizer",
     "LbmRow", "LsRecord", "SearchConfig", "census", "corollary712_search",
     "density_census", "find_ls", "lbm_scan",
-    "CriterionEvidence", "KSetReport", "MStat", "criterion", "indicator_eta",
-    "indicator_zeta", "k_set", "k_set_oracle", "m_value",
+    "CriterionEvidence", "KSetReport", "MStat", "criterion", "k_set",
+    "k_set_oracle", "m_value",
     "verify_bsum_identities", "verify_character_identities",
     "__version__",
 ]

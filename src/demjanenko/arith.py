@@ -94,26 +94,6 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
-def _miller_rabin(n: int, bases=_WITNESSES) -> bool:
-    d = n - 1
-    r = (d & -d).bit_length() - 1
-    d >>= r
-    for a in bases:
-        a %= n
-        if a == 0:
-            continue
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def probable_prime(n: int) -> bool:
     """Primality of any integer n: Miller-Rabin to the bases _WITNESSES.
 
@@ -125,7 +105,21 @@ def probable_prime(n: int) -> bool:
     for p in _WITNESSES:
         if n % p == 0:
             return n == p
-    return _miller_rabin(n)
+    # n >= 41 now, so every base is a unit below n
+    d = n - 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _brent_rho(n: int) -> int:

@@ -21,10 +21,6 @@ class KOutOfRange(DemjanenkoError):
     """k must lie in [1, ell-2]."""
 
 
-class HOutOfRange(DemjanenkoError):
-    """The 3-adic level h must lie in [0, beta]."""
-
-
 class BetaZero(DemjanenkoError):
     """The identity suite degenerates when 3 does not divide ell-1."""
 

@@ -1,13 +1,12 @@
 """Range scans and targeted prime searches.
 
 The expensive primitive is deciding whether the singular set of a prime
-is empty; `singular.k_set_is_empty` decides it one way at every ell, by
-the walk over the odd-order subgroup, and this module calls it. The
-Table 1 search and the density census are one scan, `_empty_primes`: a
-block sieve yields the primes ell = 1 mod 3 with enough prime factors
-in ell-1, the paper's count bound decides each it can (where it
-excludes a count of 0 the set is proven non-empty), and the walk
-decides the rest.
+is empty. `singular.k_set_is_empty` is that one decision, at every ell:
+the paper's count bound where it excludes a count of 0 (the set is then
+proven non-empty), else the walk over the odd-order subgroup. Every
+scan here calls it. The Table 1 search and the density census are one
+scan, `_empty_primes`: a block sieve yields the primes ell = 1 mod 3
+with enough prime factors in ell-1, and k_set_is_empty decides each.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from .arith import PrimeContext, check_memory, factorize, probable_prime
 from .errors import BoundViolation
-from .singular import KSetReport, count_within_bound, k_set, k_set_is_empty, k_witness  # noqa: F401
+from .singular import KSetReport, k_set, k_set_is_empty, k_witness  # noqa: F401
 
 DEFAULT_LBM_BUDGET = 1 << 40
 
@@ -270,13 +269,13 @@ def _empty_primes(limit: int, s: int) -> Iterator[tuple[int, tuple[tuple[int, in
     ell = 1 mod 3, with at least s distinct prime factors in ell-1 and
     an empty singular set.
 
-    The candidates come from a plain sieve per block of _BLOCK integers.
-    Each is decided by the count bound when it excludes a count of 0,
-    else by the walk; never by a matrix."""
+    The candidates come from a plain sieve per block of _BLOCK integers,
+    and k_set_is_empty decides each with the sieve's factors; never a
+    matrix."""
     small = sieve_primes(math.isqrt(limit) + 1)
     for lo in range(2, limit + 1, _BLOCK):
         for ell, factors in _block_candidates(lo, min(lo + _BLOCK, limit + 1), s, small):
-            if count_within_bound(PrimeContext(ell, factors), 0) and k_set_is_empty(ell, factors):
+            if k_set_is_empty(ell, factors):
                 yield ell, factors
 
 

@@ -6,9 +6,10 @@ in the subgroup of units of odd order, and this module owns both scans
 of it: the singular set in one vectorized pass with one int8 table of
 3-adic levels, and the walk that stops at the first singular k, which
 certifies emptiness when it finds none. It also gives the count against
-the asymptotic main term, the lcm statistic controlling the rank
-defect, and verifies the character-sum identities behind the count
-exactly, in integers.
+the asymptotic main term and the lcm statistic controlling the rank
+defect. `k_set_is_empty` is the one emptiness decision: the count bound
+where it excludes a count of 0, else the walk. The exact identity
+suites behind the count live in `verify`.
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ from .arith import (
     PrimeContext,
     check_k,
     check_memory,
-    index_table,
     make_context,
     mult_order,
     power_table,
     primitive_root,
 )
-from .errors import BetaZero, HOutOfRange
 
 # Denominator of sqrt_upper, so its error is below 10^-6.
 _SQRT_SCALE = 10**6
@@ -118,6 +117,10 @@ def criterion(ctx: PrimeContext, k: int) -> CriterionEvidence:
 def sqrt_upper(n: int) -> Fraction:
     """Rational upper bound for sqrt(n) with error below 10^-6."""
     return Fraction(math.isqrt(n * _SQRT_SCALE**2) + 1, _SQRT_SCALE)
+
+
+def a0_closed_form(ctx: PrimeContext) -> Fraction:
+    return Fraction(1, 2 ** (2 * ctx.alpha + 2)) * (1 - Fraction(1, 3 ** (2 * ctx.beta)))
 
 
 def main_term(ctx: PrimeContext) -> Fraction:
@@ -225,8 +228,14 @@ def k_witness(ell: int, factors=None) -> int | None:
 
 
 def k_set_is_empty(ell: int, factors=None) -> bool:
-    """True iff the singular set of ell is empty, certified by k_witness."""
-    return k_witness(ell, factors) is None
+    """True iff the singular set of ell is empty. `factors` is as for
+    k_witness.
+
+    False where the count bound excludes a count of 0, which proves the
+    set non-empty; else k_witness decides, and None certifies it empty.
+    """
+    ctx = make_context(ell) if factors is None else PrimeContext(ell, factors)
+    return count_within_bound(ctx, 0) and k_witness(ell, ctx.factors) is None
 
 
 def m_value(ctx: PrimeContext, k: int) -> MStat:
@@ -237,177 +246,3 @@ def m_value(ctx: PrimeContext, k: int) -> MStat:
     a = mult_order(neg, ctx).order
     b = mult_order(k, ctx).order
     return MStat(k=k, M=math.lcm(a, b))
-
-
-def indicator_zeta(ctx: PrimeContext, u: int) -> int:
-    """1 iff the order of u has no factor 2."""
-    return 1 if mult_order(u, ctx).nu2 == 0 else 0
-
-
-def indicator_eta(ctx: PrimeContext, u: int, h: int) -> int:
-    """1 iff the 3-adic valuation of the order of u equals h."""
-    if not 0 <= h <= ctx.beta:
-        raise HOutOfRange(f"h={h} outside [0, {ctx.beta}]")
-    return 1 if mult_order(u, ctx).nu3 == h else 0
-
-
-# ---------------------------------------------------------------------------
-# Character-sum verification
-
-
-def verify_character_identities(ctx: PrimeContext) -> list[str]:
-    """Exact check, at every unit u, of the character identities behind
-    the count; returns the failures, [] when all hold.
-
-    The characters of order dividing d | n = ell-1 are chi_c(u) =
-    zeta_d^(c ind(u)), c in [0, d), ind the log to the smallest primitive
-    root g; S_d(u) is their sum: d where d | ind(u), as each term is 1,
-    else 0. Both are checked mod ell at every u: at the prime above ell
-    where zeta_n = g, chi_c(u) reduces to g^(c ind(u) n/d) = u^(c n/d), the
-    Teichmueller reduction of `exact_rank`, summed term by term (so a wrong
-    log fails). The 0 lifts: conjugation multiplies ind(u) by a unit mod d,
-    so the sweep over all u puts S_d(u) in every prime above ell, hence in
-    ell Z[zeta_d]; with |S_d| <= d < ell on every conjugate, the norm of
-    S_d(u)/ell is an integer below 1 in size, so S_d(u) = 0.
-
-    Against the orders from `mult_order`, denominators cleared: S_d(u) =
-    d [ord u | n/d] for every d | n; S_(2^alpha)(u) = 2^alpha [ord u odd];
-    and for h in [0, beta], with d = 3^(beta-h), (2 + [h = 0]) +
-    3 (S_d - 1) - (S_3d - 1) = 3d [nu_3(ord u) = h], the last term 0 at
-    h = 0, where no character has order 3^(beta+1).
-    """
-    ell, alpha, beta = ctx.ell, ctx.alpha, ctx.beta
-    n = ell - 1
-    ind = index_table(ctx)[1:]  # log of u = 1..n
-    profiles = [mult_order(u, ctx) for u in range(1, ell)]
-    orders, nu3 = np.array([(p.order, p.nu3) for p in profiles], dtype=np.int64).T
-
-    def char_sum(d: int) -> np.ndarray:
-        return np.where(ind % d == 0, d, 0)  # S_d, certified below for every d | n
-
-    failures = []
-    for d in _divisors(n):
-        step = np.array([pow(u, n // d, ell) for u in range(1, ell)])  # chi_1(u), reduced
-        term, reduced = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-        for _ in range(d):
-            reduced += term
-            term = term * step % ell
-        s = char_sum(d)
-        if not np.array_equal(reduced % ell, s):
-            failures.append(f"S_{d} differs mod {ell} from its sum of character values")
-        if not np.array_equal(s, d * (n // d % orders == 0)):
-            failures.append(f"orthogonality fails for the characters of order dividing {d}")
-
-    two = 1 << alpha
-    if not np.array_equal(char_sum(two), two * (orders % 2)):
-        failures.append("the odd-order indicator is not its character average")
-    for h in range(beta + 1):
-        d1 = 3 ** (beta - h)
-        s2 = char_sum(3 * d1) - 1 if h else 0
-        lhs = 2 + (h == 0) + 3 * (char_sum(d1) - 1) - s2
-        if not np.array_equal(lhs, 3 * d1 * (nu3 == h)):
-            failures.append(f"the level-{h} indicator is not its character expansion")
-    return failures
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d * d != n:
-                out.append(n // d)
-    return sorted(out)
-
-
-# ---------------------------------------------------------------------------
-# Exact identity suite for the singular-count expansion
-
-
-def a0_closed_form(ctx: PrimeContext) -> Fraction:
-    return Fraction(1, 2 ** (2 * ctx.alpha + 2)) * (1 - Fraction(1, 3 ** (2 * ctx.beta)))
-
-
-def a0_double_sum(ctx: PrimeContext) -> Fraction:
-    """The telescoped double sum defining the constant coefficient."""
-    alpha, beta = ctx.alpha, ctx.beta
-    total = Fraction(0)
-    for r in range(1, beta + 1):
-        for s in range(r):
-            theta_s = 1 if s == 0 else 0
-            total += Fraction(2, 3 ** (beta - r + 1)) * Fraction(
-                2 + theta_s, 3 ** (beta - s + 1)
-            )
-    return total / 2 ** (2 * alpha)
-
-
-def _zeta_ext(ctx: PrimeContext, u: int) -> Fraction:
-    """Odd-order indicator extended to 0 by the principal-character rule."""
-    if u % ctx.ell == 0:
-        return Fraction(1, 2**ctx.alpha)
-    return Fraction(indicator_zeta(ctx, u))
-
-
-def _eta_ext(ctx: PrimeContext, u: int, h: int) -> Fraction:
-    if u % ctx.ell == 0:
-        if h == 0:
-            return Fraction(1, 3**ctx.beta)
-        return Fraction(2, 3 ** (ctx.beta - h + 1))
-    return Fraction(indicator_eta(ctx, u, h))
-
-
-def b_value(ctx: PrimeContext, k: int) -> Fraction:
-    """The summand of the singular-count expansion, exact rational.
-
-    At k = 0 and k = -1 the arguments hit 0 and the principal-character
-    convention (value 1 at 0, nonprincipal value 0) takes over.
-    """
-    ell, beta = ctx.ell, ctx.beta
-    if beta == 0:
-        raise BetaZero("expansion is empty when 3 does not divide ell-1")
-    pos = k * (k + 1) % ell
-    z = _zeta_ext(ctx, k) * _zeta_ext(ctx, ell - pos)
-    if z == 0:
-        return Fraction(0)
-    total = Fraction(0)
-    for r in range(1, beta + 1):
-        er = _eta_ext(ctx, k, r)
-        if er == 0:
-            continue
-        for s in range(r):
-            total += er * _eta_ext(ctx, pos, s)
-    return z * total
-
-
-@dataclass(frozen=True)
-class BSumReport:
-    """Each named check with whether it held, and the computed k = -1 term."""
-
-    checks: dict
-    b_minus_one: Fraction
-
-
-def verify_bsum_identities(ctx: PrimeContext) -> BSumReport:
-    """Exact checks tying the expansion to the singular count.
-
-    The closed form recorded for the k = -1 term fails for alpha >= 2:
-    the order of -1 is 2, so its odd-order indicator vanishes and the
-    term is identically 0, which the report carries.
-    """
-    if ctx.beta == 0:
-        raise BetaZero("identities degenerate for beta = 0")
-    ell = ctx.ell
-    sum_b = sum((b_value(ctx, k) for k in range(1, ell - 1)), Fraction(0))
-    evidence = [criterion(ctx, k) for k in range(1, ell - 1)]
-    kstar_count = sum(1 for e in evidence if e.cond_ii and e.cond_iii)
-    k_count = sum(1 for e in evidence if e.in_k_set)
-    a0c = a0_closed_form(ctx)
-    bm1 = b_value(ctx, ell - 1)
-    checks = {
-        "sum_equals_kstar": sum_b == kstar_count,
-        "k_vs_kstar_within_2": abs(k_count - kstar_count) <= 2,
-        "a0_closed_form": a0c == a0_double_sum(ctx),
-        "b_zero_is_a0": b_value(ctx, 0) == a0c,
-        "b_minus_one_closed_form": bm1 == (2**ctx.alpha - 2) * a0c,
-    }
-    return BSumReport(checks=checks, b_minus_one=bm1)

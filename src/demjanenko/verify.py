@@ -1,16 +1,24 @@
 """Cross-checking suites: every fast path against an independent route.
 
-Each suite returns a list of failure descriptions; an empty list means
-the property held everywhere in range.
+Each per-prime suite returns a list of failure descriptions; an empty
+list means the property held everywhere in range. The exact identity
+checks behind the singular count live here too: the character sums and
+indicator expansions, checked in integers at every unit, and the
+rational expansion of the count with its constant term.
 """
 
 from __future__ import annotations
 
-from .arith import PrimeContext, make_context
-from .errors import NonIntegerRank
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from .arith import PrimeContext, index_table, make_context, mult_order
+from .errors import BetaZero, NonIntegerRank
 from .matrix import build_matrix, exact_rank, rank_formula_value
 from .search import SearchConfig, census, odd_primes, ordered_map
-from .singular import k_set, m_value, verify_bsum_identities, verify_character_identities
+from .singular import a0_closed_form, criterion, k_set, m_value
 
 
 def _per_prime(check, max_ell: int, workers: int) -> list[str]:
@@ -59,6 +67,165 @@ def theorem1_suite(
     if sum(1 for _ in census(cfg)) == 0:
         return ["census produced no reports"]
     return []
+
+
+# ---------------------------------------------------------------------------
+# Character-sum identities
+
+
+def verify_character_identities(ctx: PrimeContext) -> list[str]:
+    """Exact check, at every unit u, of the character identities behind
+    the count; returns the failures, [] when all hold.
+
+    The characters of order dividing d | n = ell-1 are chi_c(u) =
+    zeta_d^(c ind(u)), c in [0, d), ind the log to the smallest primitive
+    root g; S_d(u) is their sum: d where d | ind(u), as each term is 1,
+    else 0. Both are checked mod ell at every u: at the prime above ell
+    where zeta_n = g, chi_c(u) reduces to g^(c ind(u) n/d) = u^(c n/d), the
+    Teichmueller reduction of `exact_rank`, summed term by term (so a wrong
+    log fails). The 0 lifts: conjugation multiplies ind(u) by a unit mod d,
+    so the sweep over all u puts S_d(u) in every prime above ell, hence in
+    ell Z[zeta_d]; with |S_d| <= d < ell on every conjugate, the norm of
+    S_d(u)/ell is an integer below 1 in size, so S_d(u) = 0.
+
+    Against the orders from `mult_order`, denominators cleared: S_d(u) =
+    d [ord u | n/d] for every d | n; S_(2^alpha)(u) = 2^alpha [ord u odd];
+    and for h in [0, beta], with d = 3^(beta-h), (2 + [h = 0]) +
+    3 (S_d - 1) - (S_3d - 1) = 3d [nu_3(ord u) = h], the last term 0 at
+    h = 0, where no character has order 3^(beta+1).
+    """
+    ell, alpha, beta = ctx.ell, ctx.alpha, ctx.beta
+    n = ell - 1
+    ind = index_table(ctx)[1:]  # log of u = 1..n
+    profiles = [mult_order(u, ctx) for u in range(1, ell)]
+    orders, nu3 = np.array([(p.order, p.nu3) for p in profiles], dtype=np.int64).T
+
+    def char_sum(d: int) -> np.ndarray:
+        return np.where(ind % d == 0, d, 0)  # S_d, certified below for every d | n
+
+    failures = []
+    for d in _divisors(ctx.factors):
+        step = np.array([pow(u, n // d, ell) for u in range(1, ell)])  # chi_1(u), reduced
+        term, reduced = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        for _ in range(d):
+            reduced += term
+            term = term * step % ell
+        s = char_sum(d)
+        if not np.array_equal(reduced % ell, s):
+            failures.append(f"S_{d} differs mod {ell} from its sum of character values")
+        if not np.array_equal(s, d * (n // d % orders == 0)):
+            failures.append(f"orthogonality fails for the characters of order dividing {d}")
+
+    two = 1 << alpha
+    if not np.array_equal(char_sum(two), two * (orders % 2)):
+        failures.append("the odd-order indicator is not its character average")
+    for h in range(beta + 1):
+        d1 = 3 ** (beta - h)
+        s2 = char_sum(3 * d1) - 1 if h else 0
+        lhs = 2 + (h == 0) + 3 * (char_sum(d1) - 1) - s2
+        if not np.array_equal(lhs, 3 * d1 * (nu3 == h)):
+            failures.append(f"the level-{h} indicator is not its character expansion")
+    return failures
+
+
+def _divisors(factors: tuple[tuple[int, int], ...]) -> list[int]:
+    """Every divisor of the product of the prime powers in factors, ascending."""
+    out = [1]
+    for p, e in factors:
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# Exact identity suite for the singular-count expansion
+
+
+def a0_double_sum(ctx: PrimeContext) -> Fraction:
+    """The telescoped double sum defining the constant coefficient."""
+    alpha, beta = ctx.alpha, ctx.beta
+    total = Fraction(0)
+    for r in range(1, beta + 1):
+        for s in range(r):
+            theta_s = 1 if s == 0 else 0
+            total += Fraction(2, 3 ** (beta - r + 1)) * Fraction(
+                2 + theta_s, 3 ** (beta - s + 1)
+            )
+    return total / 2 ** (2 * alpha)
+
+
+def _zeta_ext(ctx: PrimeContext, u: int) -> Fraction:
+    """1 iff the order of u is odd, extended to 0 by the
+    principal-character rule."""
+    if u % ctx.ell == 0:
+        return Fraction(1, 2**ctx.alpha)
+    return Fraction(int(mult_order(u, ctx).nu2 == 0))
+
+
+def _eta_ext(ctx: PrimeContext, u: int, h: int) -> Fraction:
+    """1 iff the order of u has 3-adic valuation h, h in [0, beta],
+    extended to 0 by the principal-character rule."""
+    if u % ctx.ell == 0:
+        if h == 0:
+            return Fraction(1, 3**ctx.beta)
+        return Fraction(2, 3 ** (ctx.beta - h + 1))
+    return Fraction(int(mult_order(u, ctx).nu3 == h))
+
+
+def b_value(ctx: PrimeContext, k: int) -> Fraction:
+    """The summand of the singular-count expansion, exact rational.
+
+    At k = 0 and k = -1 the arguments hit 0 and the principal-character
+    convention (value 1 at 0, nonprincipal value 0) takes over.
+    """
+    ell, beta = ctx.ell, ctx.beta
+    if beta == 0:
+        raise BetaZero("expansion is empty when 3 does not divide ell-1")
+    pos = k * (k + 1) % ell
+    z = _zeta_ext(ctx, k) * _zeta_ext(ctx, ell - pos)
+    if z == 0:
+        return Fraction(0)
+    total = Fraction(0)
+    for r in range(1, beta + 1):
+        er = _eta_ext(ctx, k, r)
+        if er == 0:
+            continue
+        for s in range(r):
+            total += er * _eta_ext(ctx, pos, s)
+    return z * total
+
+
+@dataclass(frozen=True)
+class BSumReport:
+    """Each named check with whether it held, and the computed k = -1 term."""
+
+    checks: dict
+    b_minus_one: Fraction
+
+
+def verify_bsum_identities(ctx: PrimeContext) -> BSumReport:
+    """Exact checks tying the expansion to the singular count.
+
+    The closed form recorded for the k = -1 term fails for alpha >= 2:
+    the order of -1 is 2, so its odd-order indicator vanishes and the
+    term is identically 0, which the report carries.
+    """
+    if ctx.beta == 0:
+        raise BetaZero("identities degenerate for beta = 0")
+    ell = ctx.ell
+    sum_b = sum((b_value(ctx, k) for k in range(1, ell - 1)), Fraction(0))
+    evidence = [criterion(ctx, k) for k in range(1, ell - 1)]
+    kstar_count = sum(1 for e in evidence if e.cond_ii and e.cond_iii)
+    k_count = sum(1 for e in evidence if e.in_k_set)
+    a0c = a0_closed_form(ctx)
+    bm1 = b_value(ctx, ell - 1)
+    checks = {
+        "sum_equals_kstar": sum_b == kstar_count,
+        "k_vs_kstar_within_2": abs(k_count - kstar_count) <= 2,
+        "a0_closed_form": a0c == a0_double_sum(ctx),
+        "b_zero_is_a0": b_value(ctx, 0) == a0c,
+        "b_minus_one_closed_form": bm1 == (2**ctx.alpha - 2) * a0c,
+    }
+    return BSumReport(checks=checks, b_minus_one=bm1)
 
 
 def _identities_one(ell: int) -> list[str]:

@@ -5,7 +5,8 @@
 attributes, the bench tests call `exact_rank(dm, cap)` positionally, and
 the workloads call into `search` with fixed argument shapes; a rename,
 deletion or change of signature would otherwise surface only in a
-benchmark run.
+benchmark run. The tracer must also see the walk inside the emptiness
+decision, or the bench's `walk_route` metric reads 0.
 
 Three names stay in the library only for the bench: `exact_rank`'s
 `cap` parameter and the `DimensionTooLarge` it raises (the bench calls
@@ -33,17 +34,38 @@ _TRACING = _BENCH / "tracing.py"
 _LAYERS = {"arith", "singular", "search", "matrix", "cyclotomic"}
 
 
-def test_every_traced_function_exists(monkeypatch):
+def _load_tracing(monkeypatch):
     # compiled from the source text, so nothing is written next to it;
     # registered while it runs, because its dataclasses look it up
     tracing = types.ModuleType("bench_tracing")
     monkeypatch.setitem(sys.modules, tracing.__name__, tracing)
     exec(compile(_TRACING.read_text(), str(_TRACING), "exec"), tracing.__dict__)
-    traced = tracing.TRACED
+    return tracing
+
+
+def test_every_traced_function_exists(monkeypatch):
+    traced = _load_tracing(monkeypatch).TRACED
     assert traced
     for mod_name, fn_name, _ in traced:
         module = importlib.import_module(f"demjanenko.{mod_name}")
         assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
+
+
+def test_traced_find_ls_walks_inside_k_set_is_empty(monkeypatch):
+    # the walk_route metric counts the k_set_is_empty spans with a
+    # k_witness child: the decision must call k_witness by its global name
+    tracer = _load_tracing(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        assert search.find_ls(5, 200_000).ell == 127681
+    finally:
+        tracer.restore()
+    spans = tracer.spans
+    assert any(
+        spans[i].name == "search.k_witness"
+        for span in spans if span.name == "search.k_set_is_empty"
+        for i in span.children
+    )
 
 
 def _bench_reads():

@@ -99,12 +99,13 @@ def test_k_witness_is_the_first_singular_power_on_the_walk():
 
 
 def test_k_set_is_empty_routes_agree():
-    # the sequential subgroup walk against the vectorized k_set scan
+    # the decision, the sequential subgroup walk alone and the vectorized
+    # k_set scan
     for ell in map(int, sieve_primes(20_000)):
         if ell < 3:
             continue
         ctx = make_context(ell)
-        assert k_set_is_empty(ell) == (k_set(ctx).count == 0)
+        assert k_set_is_empty(ell) == (k_witness(ell) is None) == (k_set(ctx).count == 0)
 
 
 def test_k_set_is_empty_rejects_composite():
@@ -308,7 +309,7 @@ def _walk_every_candidate(s, limit):
     """find_ls without the sieve or the bound: the first prime whose
     singular set the walk finds empty."""
     for ell in sympy.primerange(7, limit + 1):
-        if ell % 3 == 1 and len(sympy.primefactors(ell - 1)) >= s and k_set_is_empty(ell):
+        if ell % 3 == 1 and len(sympy.primefactors(ell - 1)) >= s and k_witness(ell) is None:
             return ell
     return None
 
@@ -355,7 +356,7 @@ def test_lbm_scan_nonempty_family():
 def test_lbm_scan_factors_m_once(monkeypatch, beta, m, alpha_max):
     # each walk takes ell-1 = 2^alpha 3^beta m from the scan, never re-factored
     expected = [
-        (a, ell, not k_set_is_empty(ell))
+        (a, ell, k_witness(ell) is not None)
         for a in range(1, alpha_max + 1)
         if sympy.isprime(ell := 2**a * 3**beta * m + 1)
     ]
@@ -380,7 +381,7 @@ def test_lbm_scan_validation():
 @functools.cache
 def _walk_every_prime(x):
     """density_census without the sieve or the bound."""
-    return [p for p in sympy.primerange(7, x + 1) if p % 3 == 1 and k_set_is_empty(p)]
+    return [p for p in sympy.primerange(7, x + 1) if p % 3 == 1 and k_witness(p) is None]
 
 
 @pytest.mark.parametrize("x,count", [
@@ -421,33 +422,56 @@ def test_density_census_factors_one_chunk_at_a_time(monkeypatch):
     assert max(sizes) <= search._FACTOR_CHUNK
 
 
-def test_scans_walk_only_the_primes_the_bound_leaves_open(monkeypatch):
-    walked = []
-
+def _recording(calls, fn):
     def recording(ell, factors=None):
-        walked.append(ell)
-        return k_set_is_empty(ell, factors)
+        calls.append(ell)
+        return fn(ell, factors)
 
-    monkeypatch.setattr(search, "k_set_is_empty", recording)
+    return recording
+
+
+def test_scans_walk_only_the_primes_the_bound_leaves_open(monkeypatch):
+    # every candidate is decided by k_set_is_empty, which walks only
+    # where the count bound leaves the set open
+    decided, walked = [], []
+    monkeypatch.setattr(search, "k_set_is_empty", _recording(decided, k_set_is_empty))
+    monkeypatch.setattr(singular, "k_witness", _recording(walked, k_witness))
     density_census(20_000)
     primes = [p for p in sympy.primerange(7, 20_001) if p % 3 == 1]
+    assert decided == primes
     assert walked == [p for p in primes if count_within_bound(make_context(p), 0)]
+    decided.clear()
     walked.clear()
     assert find_ls(5, 200_000).ell == 127681
-    assert len(walked) == 269  # of the 740 candidates up to 127681
+    assert (len(decided), len(walked)) == (740, 269)  # candidates up to 127681, walks
 
 
-def test_k_witness_on_primes_the_bound_decides():
-    # the bound proves these sets non-empty; the walk must find a member
+@functools.cache
+def _bound_decided_sample():
+    """200 primes 1 mod 6 below 10^7 whose singular set the count bound
+    proves non-empty."""
     rng = random.Random(1307)
     sample = set()
     while len(sample) < 200:
         ell = rng.randrange(7, 10**7, 6)  # 1 mod 6
         if sympy.isprime(ell) and not count_within_bound(make_context(ell), 0):
             sample.add(ell)
-    for ell in sorted(sample):
+    return sorted(sample)
+
+
+def test_k_witness_on_primes_the_bound_decides():
+    # the bound proves these sets non-empty; the walk must find a member
+    for ell in _bound_decided_sample():
         k = k_witness(ell)
         assert k is not None and criterion(make_context(ell), k).in_k_set, ell
+
+
+def test_k_set_is_empty_takes_the_bound_where_it_decides(monkeypatch):
+    walked = []
+    monkeypatch.setattr(singular, "k_witness", _recording(walked, k_witness))
+    for ell in _bound_decided_sample():
+        assert k_set_is_empty(ell) is False, ell
+    assert walked == []
 
 
 def test_density_census():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from demjanenko import arith, singular
+from demjanenko import arith, singular, verify
 from demjanenko.arith import (
     index_table,
     make_context,
@@ -19,24 +19,25 @@ from demjanenko.arith import (
     probable_prime,
     valuation,
 )
-from demjanenko.errors import BetaZero, CapExceeded, HOutOfRange, KOutOfRange
+from demjanenko.errors import BetaZero, CapExceeded, KOutOfRange
 from demjanenko.singular import (
     a0_closed_form,
-    a0_double_sum,
-    b_value,
     criterion,
     error_bound,
-    indicator_eta,
-    indicator_zeta,
     k_set,
     m_value,
     main_term,
     sqrt_upper,
+)
+from demjanenko.search import sieve_primes
+from demjanenko.verify import (
+    a0_double_sum,
+    b_value,
+    identities_suite,
+    k_set_oracle,
     verify_bsum_identities,
     verify_character_identities,
 )
-from demjanenko.search import sieve_primes
-from demjanenko.verify import identities_suite, k_set_oracle
 
 
 def _valuation(n, p):
@@ -283,22 +284,6 @@ def test_sqrt_upper_is_tight_upper_bound():
         assert (s - Fraction(1, 10**5)) ** 2 < n
 
 
-@pytest.mark.parametrize("ell", [7, 13, 31, 67])
-def test_indicators_match_orders(ell):
-    ctx = make_context(ell)
-    for u in range(1, ell):
-        prof = mult_order(u, ctx)
-        assert indicator_zeta(ctx, u) == (1 if prof.order % 2 == 1 else 0)
-        for h in range(ctx.beta + 1):
-            assert indicator_eta(ctx, u, h) == (1 if prof.nu3 == h else 0)
-
-
-def test_indicator_eta_range():
-    ctx = make_context(13)
-    with pytest.raises(HOutOfRange):
-        indicator_eta(ctx, 2, ctx.beta + 1)
-
-
 def test_m_value():
     ctx = make_context(67)
     assert m_value(ctx, 6).M == 33
@@ -326,7 +311,7 @@ def test_character_identities_catch_a_wrong_log(ell, monkeypatch):
     g = primitive_root(ctx)
     ind = index_table(ctx)
     ind[1], ind[g] = ind[g], ind[1]
-    monkeypatch.setattr(singular, "index_table", lambda _: ind)
+    monkeypatch.setattr(verify, "index_table", lambda _: ind)
     failures = verify_character_identities(ctx)
     assert f"S_{ell - 1} differs mod {ell} from its sum of character values" in failures
     assert "the odd-order indicator is not its character average" in failures
