@@ -25,7 +25,9 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # far fewer than trial division's bignum remainders up to p. Of 2^6..2^12,
 # 2^8 factored n below 10^13 fastest and tied on the l_set resultants.
 _TRIAL_LIMIT = 1 << 8
-_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # increments mod 30 starting from 7
+_TRIAL_PRIMES = tuple(
+    p for p in range(2, _TRIAL_LIMIT + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))
+)
 
 # Work cap of one Brent-rho call, in squarings mod n times n's bit length,
 # so it admits about 2^28/63 > 4e6 squarings below 2^63 and far fewer on
@@ -127,8 +129,6 @@ def _brent_rho(n: int) -> int:
 
     Raises CapExceeded once the squarings exceed _RHO_WORK_CAP.
     """
-    if n % 2 == 0:
-        return 2
     budget = _RHO_WORK_CAP // n.bit_length()
     c = 1
     while True:
@@ -175,17 +175,12 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
         while n % p == 0:
             n //= p
             out[p] = out.get(p, 0) + 1
-    p, i = 7, 0
-    while p <= _TRIAL_LIMIT and p * p <= n:
-        while n % p == 0:
-            n //= p
-            out[p] = out.get(p, 0) + 1
-        p += _WHEEL[i]
-        i = (i + 1) & 7
     stack = [(n, 1)] if n > 1 else []  # (factor, multiplicity)
     while stack:
         m, e = stack.pop()

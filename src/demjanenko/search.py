@@ -185,13 +185,19 @@ def _shards(primes: np.ndarray) -> list[np.ndarray]:
     return [primes[i:i + _SHARD] for i in range(0, len(primes), _SHARD)]
 
 
-def _census_chunk(primes: np.ndarray) -> list[KSetReport]:
-    """The reports of a shard of odd primes from the sieve: their
-    primality is known and the factors of ell-1 come from the shard."""
+def prime_contexts(primes: np.ndarray) -> list[PrimeContext]:
+    """The context of each odd prime of an int64 array from the sieve:
+    its primality is known and the factors of ell-1 come from one
+    sieve_factorizations pass over the array."""
     return [
-        k_set(PrimeContext(ell, factors))
+        PrimeContext(ell, factors)
         for ell, factors in zip(primes.tolist(), sieve_factorizations(primes - 1))
     ]
+
+
+def _census_chunk(primes: np.ndarray) -> list[KSetReport]:
+    """The reports of a shard of odd primes from the sieve."""
+    return [k_set(ctx) for ctx in prime_contexts(primes)]
 
 
 def census(cfg: SearchConfig) -> Iterator[KSetReport]:

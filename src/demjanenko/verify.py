@@ -1,8 +1,11 @@
 """Cross-checking suites: every fast path against an independent route.
 
 Each per-prime suite returns a list of failure descriptions; an empty
-list means the property held everywhere in range. The exact identity
-checks behind the singular count live here too: the character sums and
+list means the property held everywhere in range. The suites take each
+prime's context from the sieve, by `search.prime_contexts`, so no prime
+is tested or factored again. The count bound has no suite here: the
+census checks it at every prime it reports. The exact identity checks
+behind the singular count live here too: the character sums and
 indicator expansions, checked in integers at every unit, and the
 rational expansion of the count with its constant term.
 """
@@ -14,19 +17,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import PrimeContext, index_table, make_context, mult_order
+from .arith import PrimeContext, index_table, mult_order
 from .errors import BetaZero, NonIntegerRank
 from .matrix import build_matrix, exact_rank, rank_formula_value
-from .search import SearchConfig, census, odd_primes, ordered_map
+from .search import odd_primes, ordered_map, prime_contexts
 from .singular import a0_closed_form, criterion, k_set, m_value
 
 
 def _per_prime(check, max_ell: int, workers: int) -> list[str]:
-    """The failures `check(ell)` reports over the odd primes up to
-    max_ell, on a pool of `workers` processes when there is more than one."""
+    """The failures `check(ctx)` reports over the contexts of the odd
+    primes up to max_ell, on a pool of `workers` processes when there is
+    more than one."""
     if workers < 1:
         raise ValueError("workers must be positive")
-    with ordered_map(check, odd_primes(max_ell).tolist(), workers) as chunks:
+    with ordered_map(check, prime_contexts(odd_primes(max_ell)), workers) as chunks:
         return [msg for chunk in chunks for msg in chunk]
 
 
@@ -44,29 +48,17 @@ def k_set_oracle(ctx: PrimeContext) -> list[int]:
     return out
 
 
-def _oracle_one(ell: int) -> list[str]:
-    ctx = make_context(ell)
+def _oracle_one(ctx: PrimeContext) -> list[str]:
     fast = set(k_set(ctx).members)
     slow = set(k_set_oracle(ctx))
     if fast != slow:
-        return [f"ell={ell}: criterion {sorted(fast)} != matrix oracle {sorted(slow)}"]
+        return [f"ell={ctx.ell}: criterion {sorted(fast)} != matrix oracle {sorted(slow)}"]
     return []
 
 
 def oracle_suite(max_ell: int = 200, workers: int = 1) -> list[str]:
     """Criterion membership vs singularity of the actual matrix."""
     return _per_prime(_oracle_one, max_ell, workers)
-
-
-def theorem1_suite(
-    max_ell: int = 100_000, workers: int = 1, checkpoint_path: str | None = None
-) -> list[str]:
-    """The count bound |#K - main term| <= error bound, exact rationals."""
-    cfg = SearchConfig(max_ell=max_ell, workers=workers, checkpoint_path=checkpoint_path)
-    # census raises BoundViolation on a count outside the bound
-    if sum(1 for _ in census(cfg)) == 0:
-        return ["census produced no reports"]
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +220,12 @@ def verify_bsum_identities(ctx: PrimeContext) -> BSumReport:
     return BSumReport(checks=checks, b_minus_one=bm1)
 
 
-def _identities_one(ell: int) -> list[str]:
-    ctx = make_context(ell)
+def _identities_one(ctx: PrimeContext) -> list[str]:
     out = verify_character_identities(ctx)
     if ctx.beta >= 1:
         rep = verify_bsum_identities(ctx)
         out += [f"{name} failed" for name, ok in rep.checks.items() if not ok]
-    return [f"ell={ell}: {msg}" for msg in out]
+    return [f"ell={ctx.ell}: {msg}" for msg in out]
 
 
 def identities_suite(max_ell: int = 200, workers: int = 1) -> list[str]:
@@ -243,8 +234,7 @@ def identities_suite(max_ell: int = 200, workers: int = 1) -> list[str]:
     return _per_prime(_identities_one, max_ell, workers)
 
 
-def _rankformula_one(ell: int) -> list[str]:
-    ctx = make_context(ell)
+def _rankformula_one(ctx: PrimeContext) -> list[str]:
     out = []
     for k in k_set(ctx).members:
         dm = build_matrix(ctx, k)
@@ -252,10 +242,10 @@ def _rankformula_one(ell: int) -> list[str]:
         try:
             expected = rank_formula_value(ctx, k, m_value(ctx, k).M)
         except NonIntegerRank as exc:
-            out.append(f"ell={ell} k={k}: {exc}")
+            out.append(f"ell={ctx.ell} k={k}: {exc}")
             continue
         if rank != expected:
-            out.append(f"ell={ell} k={k}: rank {rank} != formula {expected}")
+            out.append(f"ell={ctx.ell} k={k}: rank {rank} != formula {expected}")
     return out
 
 

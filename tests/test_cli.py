@@ -1,5 +1,6 @@
 """CLI surface: output formats, exit codes, schema shape."""
 
+import dataclasses
 import json
 
 import jsonschema
@@ -50,6 +51,18 @@ def test_kset_plain():
     assert res.exit_code == 0
     assert "count=0" in res.output
     assert "main_term=31/18" in res.output
+    res = runner.invoke(main, ["kset", "--ell", "67"])
+    assert res.exit_code == 0
+    assert res.output.endswith("\nmembers: 6 10 19 47 56 60\n")
+
+
+def test_kset_csv():
+    res = runner.invoke(main, ["kset", "--ell", "67", "--format", "csv"])
+    assert res.exit_code == 0
+    assert res.output == (
+        "ell,alpha,beta,m,count,main_term,bound,within\n"
+        "67,1,1,11,6,67/18,4350489/125000,true\n"
+    )
 
 
 def test_kset_rationals_never_floats():
@@ -205,6 +218,28 @@ def test_verify_theorem1():
     assert res.exit_code == 0
 
 
+def test_verify_theorem1_resumed_run_passes(tmp_path):
+    args = ["verify", "--mode", "theorem1", "--max-ell", "2000",
+            "--checkpoint", str(tmp_path / "t1.ckpt")]
+    for _ in range(2):  # the second run finds every shard done
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0
+        assert res.output == "theorem1: all checks passed up to 2000\n"
+
+
+def test_verify_theorem1_exits_1_on_a_count_past_the_bound(monkeypatch):
+    def inflated(ctx):
+        rep = singular.k_set(ctx)
+        if ctx.ell == 4999:
+            rep = dataclasses.replace(rep, members=tuple(range(1, ctx.ell - 1)))
+        return rep
+
+    monkeypatch.setattr(search, "k_set", inflated)
+    res = runner.invoke(main, ["verify", "--mode", "theorem1", "--max-ell", "5000"])
+    assert res.exit_code == 1
+    assert "escapes the bound at ell=4999" in res.output
+
+
 def test_verify_rankformula():
     res = runner.invoke(main, ["verify", "--mode", "rankformula", "--max-ell", "70"])
     assert res.exit_code == 0
@@ -224,6 +259,21 @@ def test_table1_skip_s6():
     assert "s=3  31, 2·3·5" in res.output
     assert "s=4  3121, 2^4·3·5·13" in res.output
     assert "s=5  127681, 2^6·3·5·7·19" in res.output
+
+
+@pytest.mark.parametrize(
+    "ell, message",
+    [(None, "s=3: NOT-FOUND below 10000"), (37, "s=3: got 37, expected 31")],
+    ids=["not-found", "wrong-prime"],
+)
+def test_table1_exits_1_on_a_mismatch(monkeypatch, ell, message):
+    def find_ls(s, limit):
+        return search.LsRecord(s=s, ell=ell, limit=limit, factorization=((2, 2), (3, 2)))
+
+    monkeypatch.setattr(search, "find_ls", find_ls)
+    res = runner.invoke(main, ["table1", "--skip-s6"])
+    assert res.exit_code == 1
+    assert message in res.stderr
 
 
 def test_lset_json():
@@ -254,6 +304,11 @@ def test_mstats():
     res = runner.invoke(main, ["mstats", "--ell", "67", "--format", "json"])
     data = json.loads(res.output)
     assert data["min_m"] == 33 and data["count"] == 6
+    res = runner.invoke(main, ["mstats", "--ell", "67"])
+    assert res.exit_code == 0
+    assert res.output.splitlines() == [
+        f"k={k} M=33" for k in (6, 10, 19, 47, 56, 60)
+    ] + ["count=6 min_M=33"]
 
 
 def test_density():

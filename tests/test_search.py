@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import sympy
 
-from demjanenko import arith, search, singular
+from demjanenko import arith, search, singular, verify
 from demjanenko.arith import make_context
 from demjanenko.errors import BoundViolation, CapExceeded, NotPrime
 from demjanenko.search import (
@@ -156,8 +156,9 @@ def test_census_workers_deterministic():
 
 def _refuse_per_prime_work(monkeypatch):
     """Make every per-prime primality test or factorization raise, where
-    search looks them up, where make_context does, and in singular, whose
-    walk builds a context by make_context when no factors are passed."""
+    search looks them up, where make_context does, in singular, whose
+    walk builds a context by make_context when no factors are passed, and
+    in verify, should its suites build their own contexts."""
     def refuse(*args):
         raise AssertionError("a per-prime primality test or factorization ran")
 
@@ -165,6 +166,7 @@ def _refuse_per_prime_work(monkeypatch):
         monkeypatch.setattr(module, "factorize", refuse, raising=False)
         monkeypatch.setattr(module, "probable_prime", refuse, raising=False)
     monkeypatch.setattr(singular, "make_context", refuse)
+    monkeypatch.setattr(verify, "make_context", refuse, raising=False)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -180,6 +182,15 @@ def test_scans_take_primality_and_factors_from_the_sieve(monkeypatch):
     _refuse_per_prime_work(monkeypatch)
     assert find_ls(5, 200_000).ell == 127681
     assert list(density_census(20_000).primes) == expected
+
+
+def test_verify_suites_take_primality_and_factors_from_the_sieve(monkeypatch):
+    expected = (verify.oracle_suite(200), verify.identities_suite(100),
+                verify.rankformula_suite(300))
+    _refuse_per_prime_work(monkeypatch)
+    assert (verify.oracle_suite(200), verify.identities_suite(100),
+            verify.rankformula_suite(300)) == expected
+    assert verify.identities_suite(2) == []  # no odd prime: an empty sieve array
 
 
 def test_census_raises_on_a_count_past_the_bound(monkeypatch):

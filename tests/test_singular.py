@@ -33,7 +33,6 @@ from demjanenko.search import sieve_primes
 from demjanenko.verify import (
     a0_double_sum,
     b_value,
-    identities_suite,
     k_set_oracle,
     verify_bsum_identities,
     verify_character_identities,
@@ -349,10 +348,14 @@ def test_bsum_identities(ell):
         assert rep.b_minus_one == 0
 
 
-def test_identities_suite_same_on_a_pool():
-    serial = identities_suite(60)
-    assert serial  # the k = -1 closed form fails at the alpha >= 2 primes
-    assert identities_suite(60, workers=2) == serial
+@pytest.mark.parametrize("suite", ["identities", "oracle", "rankformula"])
+def test_suites_same_on_a_pool(suite):
+    # the pool workers get each prime's context pickled from the sieve
+    run = getattr(verify, f"{suite}_suite")
+    serial = run(60)
+    # the k = -1 closed form fails at the alpha >= 2 primes; the rest hold
+    assert bool(serial) == (suite == "identities")
+    assert run(60, workers=2) == serial
 
 
 def test_bsum_requires_beta_positive():
