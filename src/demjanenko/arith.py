@@ -1,13 +1,16 @@
 """Integer and modular arithmetic kernels.
 
-Primality, factorization, multiplicative orders with their 2-adic and
-3-adic valuations, power and discrete-log tables, and the checks of a
-table's peak memory against the machine's and of a modulus against int64.
-All functions here are pure and safe to call concurrently.
+Primality, the sieve of small primes, factorization (trial division,
+then Pollard p-1 and Brent rho on one work budget per cofactor),
+multiplicative orders with their 2-adic and 3-adic valuations, power and
+discrete-log tables, and the checks of a table's peak memory against the
+machine's and of a modulus against int64. All functions here are pure
+and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -29,12 +32,26 @@ _TRIAL_PRIMES = tuple(
     p for p in range(2, _TRIAL_LIMIT + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))
 )
 
-# Work cap of one Brent-rho call, in squarings mod n times n's bit length,
-# so it admits about 2^28/63 > 4e6 squarings below 2^63 and far fewer on
-# huge numbers. Below 2^63 a composite cofactor has a prime factor of at
-# most 2^31.5, which rho finds in about 10^5 squarings: the cap is never
-# reached there.
+# Work cap of one composite cofactor n, in squarings mod n times n's bit
+# length, shared by Pollard p-1 and Brent rho: it admits about
+# 2^28/63 > 4e6 squarings below 2^63 and far fewer on huge numbers. Below
+# 2^63 a composite cofactor has a prime factor of at most 2^31.5, which
+# rho finds in about 10^5 squarings: the cap is never reached there.
 _RHO_WORK_CAP = 1 << 28
+
+# Pollard p-1 stage 1 runs on each composite cofactor above _PM1_FLOOR:
+# it raises 2 to every maximal prime power q^e <= _PM1_BOUND, _PM1_BLOCK
+# powers to one pow and one gcd. The primes of the l_set resultants are
+# 1 mod 2*3^a with a smooth p - 1, so one pass splits them off. Bounds
+# 2^14..2^18 and blocks 32..512 were swept on the benchmark's l_set
+# resultants (best of 5): 2^14 took about twice as long as the rest,
+# blocks of 256 and 512 20-60% longer, and 2^15..2^18 with blocks of 32
+# to 128 were within noise of each other. 2^16 in blocks of 128 is 6542
+# powers in 52 blocks, one pass charged 94473 squarings: about what rho
+# needs below the floor.
+_PM1_FLOOR = 1 << 63
+_PM1_BOUND = 1 << 16
+_PM1_BLOCK = 128
 
 # Physical memory of the machine in bytes, read once at import.
 PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -87,6 +104,23 @@ def check_modulus(ell: int, what: str) -> None:
         raise RangeExceeded(f"{what} needs ell < 2^31, got {ell}")
 
 
+def sieve_primes(n: int) -> np.ndarray:
+    """All primes <= n (simple Eratosthenes, numpy).
+
+    Refused with CapExceeded when its peak, the mask and 8 bytes a prime
+    (pi(n) < 1.26 n/ln n), exceeds physical memory.
+    """
+    if n < 2:
+        return np.empty(0, dtype=np.int64)
+    check_memory(n + 1 + 16 * n // (n.bit_length() - 1), f"the sieve of primes <= {n}")
+    mask = np.ones(n + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if mask[p]:
+            mask[p * p:: p] = False
+    return np.nonzero(mask)[0].astype(np.int64, copy=False)
+
+
 def valuation(n: int, p: int) -> int:
     """Largest v with p^v dividing n (n > 0)."""
     v = 0
@@ -124,12 +158,62 @@ def probable_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int) -> int:
+@functools.cache
+def _pm1_blocks() -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The maximal prime powers q^e <= _PM1_BOUND in blocks of _PM1_BLOCK,
+    each with the product of its powers. Built on first use."""
+    powers = []
+    for q in sieve_primes(_PM1_BOUND).tolist():
+        qe = q
+        while qe * q <= _PM1_BOUND:
+            qe *= q
+        powers.append(qe)
+    blocks = (tuple(powers[i:i + _PM1_BLOCK]) for i in range(0, len(powers), _PM1_BLOCK))
+    return tuple((block, math.prod(block)) for block in blocks)
+
+
+def _pollard_pm1(n: int, budget: int) -> tuple[list[int], int, int]:
+    """Pollard p-1 stage 1 on composite n, base 2.
+
+    Returns the factors split off, the cofactor left (1 once the last
+    split leaves a prime, which is then among the factors; else a
+    composite p-1 could not split) and the budget left. Each block's pow
+    is charged its exponent's bit length in squarings; CapExceeded when
+    that overdraws the budget.
+    """
+    pieces: list[int] = []
+    a = 2
+    for block, exponent in _pm1_blocks():
+        budget -= exponent.bit_length()
+        if budget < 0:
+            raise CapExceeded(
+                f"Pollard p-1 hit its work cap on a {len(str(n))}-digit composite"
+            )
+        b = pow(a, exponent, n)
+        if math.gcd(b - 1, n) == 1:
+            a = b
+            continue
+        for qe in block:  # one power at a time, so primes found together split apart
+            a = pow(a, qe, n)
+            g = math.gcd(a - 1, n)
+            if g == 1:
+                continue
+            if g == n:
+                return pieces, n, budget
+            pieces.append(g)
+            n //= g
+            if probable_prime(n):
+                pieces.append(n)
+                return pieces, 1, budget
+            a %= n
+    return pieces, n, budget
+
+
+def _brent_rho(n: int, budget: int) -> int:
     """A nontrivial factor of composite odd n (Brent's cycle variant).
 
-    Raises CapExceeded once the squarings exceed _RHO_WORK_CAP.
+    Raises CapExceeded once the squarings exceed `budget`.
     """
-    budget = _RHO_WORK_CAP // n.bit_length()
     c = 1
     while True:
         y, m, g, r, q = 2, 128, 1, 1, 1
@@ -167,10 +251,13 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
     Trial division by the primes up to 2^8, then on each composite
     cofactor a square descent (a perfect square r^2 is replaced by r with
-    doubled multiplicity) and Brent-Pollard rho; handles arbitrary-precision
-    n (resultants factored downstream can exceed 2^63 and are often perfect
-    squares). Raises CapExceeded when rho passes its work cap, which never
-    happens below 2^63.
+    doubled multiplicity), above 2^63 a Pollard p-1 stage 1 whose pieces
+    go back on the stack, and Brent-Pollard rho on what p-1 leaves;
+    handles arbitrary-precision n (resultants factored downstream can
+    exceed 2^63, are often perfect squares, and their primes have smooth
+    p - 1). p-1 and rho draw on one budget per cofactor,
+    _RHO_WORK_CAP // bits squarings; CapExceeded when it runs out, which
+    never happens below 2^63.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -193,7 +280,13 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         if r * r == m:
             stack.append((r, 2 * e))
             continue
-        d = _brent_rho(m)
+        budget = _RHO_WORK_CAP // m.bit_length()
+        if m > _PM1_FLOOR:
+            pieces, m, budget = _pollard_pm1(m, budget)
+            stack.extend((d, e) for d in pieces)
+            if m == 1:
+                continue
+        d = _brent_rho(m, budget)
         k = 0
         while m % d == 0:  # all of d at once, so rho never finds it again
             m //= d

@@ -16,6 +16,13 @@ from .errors import CapExceeded, DegenerateParameters, ZeroPolynomial
 
 CYCLOTOMIC_CAP = 1_000_000
 
+# l_set refuses parameters whose bound 3^(phi(3^a d) phi(3^b e)) on |Res|
+# has more than this many digits, before the PRS: (5, 4) and (6, 3) bound
+# 4174 digits and end in the factorization's work cap within seconds;
+# (6, 4) bounds 12522 digits and took 38 s to reach that cap, and (6, 5)
+# bounds 37566 digits and its PRS ran past 200 s.
+_RESULTANT_DIGIT_CAP = 5000
+
 
 @dataclass(frozen=True)
 class IntPolynomial:
@@ -189,7 +196,13 @@ class ResultantRecord:
 
 def l_set(a: int, b: int, d: int, e: int) -> ResultantRecord:
     """Res of the order-3^a*d cyclotomic against the order-3^b*e
-    cyclotomic composed with -X^2-X, plus its prime divisors."""
+    cyclotomic composed with -X^2-X, plus its prime divisors.
+
+    p = Phi_{3^a d} is monic, so |Res| is the product of |q(-z^2-z)| over
+    the roots z of p, where |-z^2-z| = |z+1| <= 2 makes each root of
+    q = Phi_{3^b e} at most 3 away: |Res| <= 3^(deg p * deg q). CapExceeded
+    when that bound has more than _RESULTANT_DIGIT_CAP digits.
+    """
     if a < 1 or b < 0 or b > a - 1:
         raise ValueError(f"need 1 <= a and 0 <= b <= a-1, got a={a}, b={b}")
     if d < 1 or e < 1:
@@ -201,7 +214,13 @@ def l_set(a: int, b: int, d: int, e: int) -> ResultantRecord:
     if a == 1 and d == 1:
         raise DegenerateParameters("a=1, d=1 puts cube roots of unity in both")
     p = cyclotomic_poly(3**a * d)
-    q = compose_neg_quadratic(cyclotomic_poly(3**b * e))
-    res = resultant(p, q)
+    q = cyclotomic_poly(3**b * e)
+    exponent = (len(p.coefficients) - 1) * (len(q.coefficients) - 1)
+    if 3**exponent >= 10**_RESULTANT_DIGIT_CAP:
+        raise CapExceeded(
+            f"the resultant is bounded by 3^{exponent}, which has more than "
+            f"{_RESULTANT_DIGIT_CAP} digits"
+        )
+    res = resultant(p, compose_neg_quadratic(q))
     primes = tuple(pp for pp, _ in factorize(abs(res)))
     return ResultantRecord(a=a, b=b, d=d, e=e, resultant=res, prime_divisors=primes)

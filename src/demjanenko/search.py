@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import PrimeContext, check_memory, factorize, probable_prime
+from .arith import PrimeContext, factorize, probable_prime, sieve_primes
 from .errors import BoundViolation
 from .singular import KSetReport, k_set, k_set_is_empty, k_witness  # noqa: F401
 
@@ -90,23 +90,6 @@ class DensityReport:
             "primes": list(self.primes),
             "reference": self.reference,
         }
-
-
-def sieve_primes(n: int) -> np.ndarray:
-    """All primes <= n (simple Eratosthenes, numpy).
-
-    Refused with CapExceeded when its peak, the mask and 8 bytes a prime
-    (pi(n) < 1.26 n/ln n), exceeds physical memory.
-    """
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    check_memory(n + 1 + 16 * n // (n.bit_length() - 1), f"the sieve of primes <= {n}")
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p:: p] = False
-    return np.nonzero(mask)[0].astype(np.int64, copy=False)
 
 
 def odd_primes(max_ell: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -95,6 +96,73 @@ def test_square_descent_keeps_the_rho_cap(monkeypatch):
     p, q = 1_000_000_007, 1_000_000_009
     with pytest.raises(CapExceeded):
         factorize((p * q) ** 2)
+
+
+# Primes in (2^21, 2^32), so any three multiply past 2^63 and rho splits
+# any composite of them in about 10^5 squarings, far inside the budget.
+_RHO_PRIMES = st.integers(1 << 22, 1 << 32).map(sympy.prevprime)
+
+
+def _smooth_prime(base, m):
+    """The least prime base*m' + 1 with m' >= m coprime to 6."""
+    while m % 6 not in (1, 5) or not sympy.isprime(base * m + 1):
+        m += 1
+    return base * m + 1
+
+
+# 2^i 3^j m + 1 with m coprime to 6 and about 2^16 at most, so p - 1 is
+# a product of prime powers <= 2^16 and p-1 stage 1 splits the prime off;
+# m starts where p lies in (2^21, 2^30], so the next prime stays near it.
+_PM1_PRIMES = st.tuples(st.integers(4, 16), st.integers(1, 6)).map(
+    lambda ij: 2 ** ij[0] * 3 ** ij[1]
+).flatmap(
+    lambda base: st.integers(
+        -(-(1 << 21) // base), min(1 << 16, (1 << 30) // base)
+    ).map(lambda m: _smooth_prime(base, m))
+)
+
+
+@given(st.lists(st.one_of(_RHO_PRIMES, _PM1_PRIMES), min_size=3, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_factorize_above_2_63_returns_the_drawn_primes(primes):
+    n = math.prod(primes)
+    assert n > arith._PM1_FLOOR
+    assert factorize(n) == tuple(sorted(Counter(primes).items()))
+
+
+# both primes are 2q + 1 with q prime, so p-1 to 2^16 splits neither
+_SAFE_SEMIPRIME = (4294967387, 8589935363)
+
+
+def test_factorize_safe_prime_semiprime_falls_through_to_rho():
+    p, q = _SAFE_SEMIPRIME
+    n = p * q
+    assert n > arith._PM1_FLOOR
+    assert arith._pollard_pm1(n, 1 << 20)[:2] == ([], n)
+    assert factorize(n) == ((p, 1), (q, 1))
+
+
+def test_pm1_is_charged_to_the_cofactors_budget(monkeypatch):
+    p, q = _SAFE_SEMIPRIME
+    n = p * q
+    one_pass = sum(exponent.bit_length() for _, exponent in arith._pm1_blocks())
+    rho_budgets = []
+
+    def rho(m, budget):
+        rho_budgets.append(budget)
+        raise CapExceeded("rho")
+
+    monkeypatch.setattr(arith, "_brent_rho", rho)
+    # a budget one squaring short of one p-1 pass: rho is never reached
+    monkeypatch.setattr(arith, "_RHO_WORK_CAP", n.bit_length() * one_pass - 1)
+    with pytest.raises(CapExceeded, match="p-1 hit its work cap"):
+        factorize(n)
+    assert rho_budgets == []
+    # exactly one pass: rho gets what is left, nothing
+    monkeypatch.setattr(arith, "_RHO_WORK_CAP", n.bit_length() * one_pass)
+    with pytest.raises(CapExceeded, match="rho"):
+        factorize(n)
+    assert rho_budgets == [0]
 
 
 def test_valuation():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 
 import jsonschema
 import pytest
@@ -108,7 +109,7 @@ def test_kset_rationals_never_floats():
         pytest.param(["table1", "--limit-s6", "2"], id="table1-limit-s6-2"),
         # d < 1, although gcd(-5, 6) == 1
         pytest.param(["lset", "--a", "2", "--b", "1", "--d", "-5"], id="lset-d-negative"),
-        # rho passes its work cap on a 165-digit cofactor of the resultant
+        # rho passes its work cap on a 202-digit cofactor p-1 leaves it
         pytest.param(
             ["lset", "--a", "3", "--b", "2", "--d", "7", "--e", "7"], id="lset-rho-cap"
         ),
@@ -285,6 +286,19 @@ def test_lset_json():
     assert isinstance(data["resultant"], str)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("a,b", [(a, b) for a in range(2, 7) for b in range(a)])
+def test_lset_ends_for_every_a_up_to_6(a, b):
+    # each run is factored, ends in the work cap, or is refused before
+    # the PRS by the resultant's digit bound
+    start = time.perf_counter()
+    res = runner.invoke(main, ["lset", "--a", str(a), "--b", str(b)])
+    assert time.perf_counter() - start < 30
+    assert res.exit_code in (0, 2)
+    assert "Traceback" not in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 def test_lset_degenerate_is_usage_error():
     res = runner.invoke(main, ["lset", "--a", "1", "--b", "0"])
     assert res.exit_code == 2
@@ -370,8 +384,9 @@ _FUZZ_COMMANDS = st.one_of(
     ).map(lambda a: [a[0], "--ell", str(a[1]), "--k", str(a[2])]),
     st.integers(-10, 5000).map(lambda ell: ["mstats", "--ell", str(ell)]),
     st.integers(-10, 3000).map(lambda x: ["density", "--x", str(x)]),
-    # a = 5 spends seconds before rho's cap: lset --a 5 --b 3 takes 2.8 s
-    # and --b 4 about 6 s; at a = 6, b = 5 the resultant alone runs > 100 s
+    # a = 5 and 6 spend seconds before rho's cap (lset --a 5 --b 3 about
+    # 1 s, --a 6 --b 3 about 3 s); test_lset_ends_for_every_a_up_to_6
+    # covers them
     st.tuples(st.integers(-2, 4), st.integers(-2, 4)).map(
         lambda a: ["lset", "--a", str(a[0]), "--b", str(a[1])]
     ),

@@ -8,6 +8,7 @@ import pytest
 import sympy
 from sympy.abc import x as sym_x
 
+from demjanenko import arith, cyclotomic
 from demjanenko.arith import factorize
 from demjanenko.cyclotomic import (
     IntPolynomial,
@@ -180,6 +181,54 @@ def test_l_set_bench_inputs(abde):
     assert rec.prime_divisors == _BENCH_L_SETS[abde]
     n = abs(rec.resultant)
     assert math.prod(p**e for p, e in factorize(n)) == n
+
+
+def test_l_set_rho_sees_nothing_above_2_63(monkeypatch):
+    # p-1 splits every prime of this resultant off before rho runs
+    rho_inputs = []
+    brent_rho = arith._brent_rho
+
+    def recording(n, budget):
+        rho_inputs.append(n)
+        return brent_rho(n, budget)
+
+    monkeypatch.setattr(arith, "_brent_rho", recording)
+    assert l_set(5, 2, 1, 1).prime_divisors == _BENCH_L_SETS[(5, 2, 1, 1)]
+    assert all(n < 1 << 63 for n in rho_inputs)
+
+
+def _resultant_exponent(a, b, d, e):
+    """deg Phi_{3^a d} * deg Phi_{3^b e}: |Res| <= 3 to this power."""
+    return int(sympy.totient(3**a * d) * sympy.totient(3**b * e))
+
+
+# the ten l_set inputs the benchmark draws from
+_BENCH_POOL = [(2, 1, 1, 1), (3, 2, 1, 1), (3, 1, 1, 1), (5, 2, 1, 1), (4, 1, 1, 1),
+               (4, 2, 1, 1), (4, 3, 1, 1), (3, 1, 1, 5), (3, 2, 5, 1), (2, 1, 5, 1)]
+
+
+@pytest.mark.parametrize("abde", _BENCH_POOL, ids=str)
+def test_l_set_resultant_within_its_bound(abde):
+    assert abs(l_set(*abde).resultant) <= 3 ** _resultant_exponent(*abde)
+
+
+def test_l_set_refuses_an_oversized_resultant_before_the_prs(monkeypatch):
+    computed = []
+
+    def stub(p, q):
+        computed.append((p, q))
+        return 1
+
+    monkeypatch.setattr(cyclotomic, "resultant", stub)
+    # 3^8748 has 4174 digits: computed
+    assert len(str(3 ** _resultant_exponent(6, 3, 1, 1))) == 4174
+    assert l_set(6, 3, 1, 1).prime_divisors == ()
+    assert len(computed) == 1
+    # 3^15552, 3^26244 and 3^78732 have more than 5000 digits: refused
+    for abde in [(4, 3, 5, 5), (6, 4, 1, 1), (6, 5, 1, 1)]:
+        with pytest.raises(CapExceeded, match="more than 5000 digits"):
+            l_set(*abde)
+    assert len(computed) == 1
 
 
 def test_l_set_record_json():
