@@ -36,8 +36,9 @@ _CENSUS_CSV_HEADER = "ell,alpha,beta,m,count,main_term,bound,within"
 
 class _Main(click.Group):
     """The one error boundary of the CLI: a bound violation is a failed
-    verification (exit 1); any other library error or bad value is a
-    usage error (exit 2). Neither prints a traceback."""
+    verification (exit 1); any other library error, bad value or file
+    that cannot be opened is a usage error (exit 2). Neither prints a
+    traceback."""
 
     def invoke(self, ctx):
         try:
@@ -45,7 +46,7 @@ class _Main(click.Group):
         except BoundViolation as exc:
             click.echo(f"error: {exc}", err=True)
             ctx.exit(1)
-        except (DemjanenkoError, ValueError) as exc:
+        except (DemjanenkoError, ValueError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             ctx.exit(2)
 

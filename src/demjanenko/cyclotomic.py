@@ -1,13 +1,16 @@
 """Exact cyclotomic polynomials and resultants over the integers.
 
-Polynomials are coefficient lists, constant term first. The resultant
-uses the subresultant polynomial remainder sequence, so everything stays
-in arbitrary-precision integers.
+Polynomials are coefficient lists, constant term first. Phi_n is built
+from the factors X^d - 1 over the divisors d of the radical r of n, each
+a one-pass multiply or exact divide, and spread out as Phi_r(X^(n/r)).
+The resultant uses the subresultant polynomial remainder sequence, so
+everything stays in arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,48 +48,32 @@ def poly(coeffs) -> IntPolynomial:
     return IntPolynomial(tuple(c))
 
 
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _exact_div(a: list[int], b: list[int]) -> list[int]:
-    """Quotient of a by b in Z[X]; raises if the division is not exact."""
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    q = [0] * (len(a) - db)
-    for i in range(len(q) - 1, -1, -1):
-        head = r[db + i]
-        if head % lb:
-            raise ArithmeticError("inexact polynomial division")
-        c = head // lb
-        q[i] = c
-        if c:
-            for j in range(db + 1):
-                r[i + j] -= c * b[j]
-    if any(r):
-        raise ArithmeticError("nonzero remainder in exact division")
-    return q
-
-
 @functools.lru_cache(maxsize=None)
 def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     if n == 1:
         return (-1, 1)
-    # X^n - 1 divided by the product of all proper-divisor cyclotomics
-    num = [-1] + [0] * (n - 1) + [1]
-    den = [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _mul(den, list(_cyclotomic_coeffs(d)))
-    return tuple(_exact_div(num, den))
+    primes = [p for p, _ in factorize(n)]
+    r = math.prod(primes)
+    deg = math.prod(p - 1 for p in primes)
+    # Phi_r = prod over d | r of (1 - X^d)^mu(r/d) for r > 1, as a power
+    # series cut past degree phi(r); there dividing by 1 - X^d is always
+    # exact, so the factors may come in any order
+    c = [1] + [0] * deg
+    for k in range(len(primes) + 1):
+        for chosen in itertools.combinations(primes, k):
+            d = r // math.prod(chosen)
+            if d > deg:  # 1 - X^d is 1 below the cut
+                continue
+            if k % 2:  # divide by 1 - X^d: c[i] += c[i - d]
+                for j in range(d):
+                    c[j::d] = itertools.accumulate(c[j::d])
+            else:  # multiply by 1 - X^d: c[i] -= c[i - d]
+                c[d:] = [x - y for x, y in zip(c[d:], c)]
+    # Phi_n(X) = Phi_r(X^(n/r))
+    step = n // r
+    out = [0] * (deg * step + 1)
+    out[::step] = c
+    return tuple(out)
 
 
 def cyclotomic_poly(n: int) -> IntPolynomial:
@@ -98,15 +85,10 @@ def cyclotomic_poly(n: int) -> IntPolynomial:
 
 def compose_neg_quadratic(p: IntPolynomial) -> IntPolynomial:
     """p(-X^2 - X), expanded exactly (Horner in the outer variable)."""
-    inner = [0, -1, -1]
-    acc: list[int] = []
-    for c in reversed(p.coefficients):
-        acc = _mul(acc, inner)
-        if c:
-            if not acc:
-                acc = [c]
-            else:
-                acc[0] += c
+    acc = list(p.coefficients[-1:])
+    for c in reversed(p.coefficients[:-1]):
+        # acc * (-X - X^2) + c: coefficient i + 1 is -(acc[i] + acc[i - 1])
+        acc = [c] + [-(x + y) for x, y in zip(acc + [0], [0] + acc)]
     return poly(acc)
 
 
@@ -213,10 +195,17 @@ def l_set(a: int, b: int, d: int, e: int) -> ResultantRecord:
     # unity with |x(x+1)| = 1, so |x+1| = 1 and x = e^{+-2 pi i/3}.
     if a == 1 and d == 1:
         raise DegenerateParameters("a=1, d=1 puts cube roots of unity in both")
+    # 3^a > 2^a (and b < a), so an a past the cap's bit length is refused
+    # before any power of 3 is built
+    if a > CYCLOTOMIC_CAP.bit_length() or max(3**a * d, 3**b * e) > CYCLOTOMIC_CAP:
+        raise CapExceeded(
+            f"3^a*d and 3^b*e must not exceed the cyclotomic cap {CYCLOTOMIC_CAP}"
+        )
     p = cyclotomic_poly(3**a * d)
     q = cyclotomic_poly(3**b * e)
     exponent = (len(p.coefficients) - 1) * (len(q.coefficients) - 1)
-    if 3**exponent >= 10**_RESULTANT_DIGIT_CAP:
+    # 27^cap > 10^cap: an exponent past 3 * cap is refused without its power
+    if 3 ** min(exponent, 3 * _RESULTANT_DIGIT_CAP) >= 10**_RESULTANT_DIGIT_CAP:
         raise CapExceeded(
             f"the resultant is bounded by 3^{exponent}, which has more than "
             f"{_RESULTANT_DIGIT_CAP} digits"

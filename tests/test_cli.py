@@ -374,6 +374,19 @@ def test_verify_checkpoint_outside_theorem1_is_usage_error(mode, tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "command", [["census"], ["verify", "--mode", "theorem1"]], ids=lambda c: c[-1]
+)
+@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+def test_checkpoint_that_cannot_be_opened_is_usage_error(command, where, tmp_path):
+    path = tmp_path if where == "a directory" else tmp_path / "missing" / "ck.txt"
+    res = runner.invoke(main, [*command, "--max-ell", "100", "--checkpoint", str(path)])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    # rows of the first shard may stream before the checkpoint is written
+    assert res.output.splitlines()[-1].startswith("error: ")
+
+
 _FUZZ_COMMANDS = st.one_of(
     st.integers(-10, 5000).map(lambda ell: ["kset", "--ell", str(ell)]),
     st.tuples(st.integers(-5, 2000), st.sampled_from([-1, 0, 1])).map(
@@ -386,10 +399,10 @@ _FUZZ_COMMANDS = st.one_of(
     st.integers(-10, 3000).map(lambda x: ["density", "--x", str(x)]),
     # a = 5 and 6 spend seconds before rho's cap (lset --a 5 --b 3 about
     # 1 s, --a 6 --b 3 about 3 s); test_lset_ends_for_every_a_up_to_6
-    # covers them
-    st.tuples(st.integers(-2, 4), st.integers(-2, 4)).map(
-        lambda a: ["lset", "--a", str(a[0]), "--b", str(a[1])]
-    ),
+    # covers them. 3^13 is past CYCLOTOMIC_CAP, so a >= 13 is refused at once
+    st.tuples(
+        st.one_of(st.integers(-2, 4), st.integers(13, 10**9)), st.integers(-2, 4)
+    ).map(lambda a: ["lset", "--a", str(a[0]), "--b", str(a[1])]),
 )
 
 # every command draws a --format, implemented or not

@@ -33,7 +33,7 @@ def test_cyclotomic_small_values():
     assert cyclotomic_poly(9).coefficients == (1, 0, 0, 1, 0, 0, 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12, 30, 105, 128, 200])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12, 30, 105, 128, 200, 1155, 2310])
 def test_cyclotomic_matches_sympy(n):
     ours = _to_sympy(cyclotomic_poly(n))
     assert ours == sympy.Poly(sympy.cyclotomic_poly(n, sym_x), sym_x)
@@ -41,7 +41,7 @@ def test_cyclotomic_matches_sympy(n):
 
 def test_divisor_product_identity():
     # prod over d | n of Phi_d = X^n - 1
-    for n in (1, 2, 6, 12, 36, 60, 100):
+    for n in (1, 2, 6, 12, 36, 60, 100, 1155, 15015):
         prod = sympy.Poly(1, sym_x)
         for d in range(1, n + 1):
             if n % d == 0:
@@ -163,6 +163,7 @@ def test_l_set_known_values():
     assert l_set(2, 1, 1, 1).prime_divisors == (3,)
     assert l_set(3, 2, 1, 1).prime_divisors == (3, 271)
     assert l_set(3, 1, 1, 1).prime_divisors == (3, 271)
+    assert l_set(1, 0, 5005, 1).resultant == 1
 
 
 # the prime divisors of the l_set inputs the benchmark factors
@@ -224,8 +225,9 @@ def test_l_set_refuses_an_oversized_resultant_before_the_prs(monkeypatch):
     assert len(str(3 ** _resultant_exponent(6, 3, 1, 1))) == 4174
     assert l_set(6, 3, 1, 1).prime_divisors == ()
     assert len(computed) == 1
-    # 3^15552, 3^26244 and 3^78732 have more than 5000 digits: refused
-    for abde in [(4, 3, 5, 5), (6, 4, 1, 1), (6, 5, 1, 1)]:
+    # 3^15552, 3^26244 and 3^78732 have more than 5000 digits: refused;
+    # so is 3^(5760 * 999982), without building that power (1.1 GB)
+    for abde in [(4, 3, 5, 5), (6, 4, 1, 1), (6, 5, 1, 1), (1, 0, 5005, 999983)]:
         with pytest.raises(CapExceeded, match="more than 5000 digits"):
             l_set(*abde)
     assert len(computed) == 1
@@ -263,3 +265,6 @@ def test_l_set_validation():
             l_set(2, 1, d, e)
     with pytest.raises(DegenerateParameters):
         l_set(1, 0, 1, 1)
+    # refused before 3^a is built
+    with pytest.raises(CapExceeded, match="1000000"):
+        l_set(10**8, 0, 1, 1)
