@@ -79,7 +79,7 @@ def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
 def cyclotomic_poly(n: int) -> IntPolynomial:
     """The nth cyclotomic polynomial, exact integer coefficients."""
     if not 1 <= n <= CYCLOTOMIC_CAP:
-        raise CapExceeded(f"cyclotomic index {n} outside [1, {CYCLOTOMIC_CAP}]")
+        raise CapExceeded(f"cyclotomic index must be in [1, {CYCLOTOMIC_CAP}]")
     return IntPolynomial(_cyclotomic_coeffs(n))
 
 
@@ -93,24 +93,20 @@ def compose_neg_quadratic(p: IntPolynomial) -> IntPolynomial:
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """prem(a, b): remainder of lc(b)^(deg a - deg b + 1) * a by b."""
+    """prem(a, b): remainder of lc(b)^(deg a - deg b + 1) * a by b, for
+    deg a >= deg b. The scaled a has an integer quotient by b, so each
+    quotient coefficient r[top] // lc(b) is exact, and a step touches
+    only the deg b coefficients under b."""
     db = len(b) - 1
     lb = b[-1]
-    e = len(a) - 1 - db + 1
-    r = list(a)
-    while r and len(r) - 1 >= db:
-        top = r[-1]
-        shift = len(r) - 1 - db
-        new = [lb * c for c in r[:-1]]
-        for j in range(db):
-            new[shift + j] -= top * b[j]
-        while new and new[-1] == 0:
-            new.pop()
-        r = new
-        e -= 1
-    if e > 0 and r:
-        f = lb**e
-        r = [c * f for c in r]
+    f = lb ** (len(a) - db)
+    r = [c * f for c in a]
+    for top in range(len(a) - 1, db - 1, -1):
+        c = r[top] // lb
+        r[top - db : top] = [x - c * y for x, y in zip(r[top - db : top], b)]
+    del r[db:]
+    while r and r[-1] == 0:
+        r.pop()
     return r
 
 

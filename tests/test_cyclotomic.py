@@ -54,6 +54,10 @@ def test_cyclotomic_cap():
         cyclotomic_poly(0)
     with pytest.raises(CapExceeded):
         cyclotomic_poly(10**7)
+    # past Python's 4300-digit int -> str limit, so the message must not
+    # format the index
+    with pytest.raises(CapExceeded, match="1000000"):
+        cyclotomic_poly(10**5000)
 
 
 def test_compose_neg_quadratic_examples():
@@ -124,6 +128,9 @@ def test_resultant_small_cases():
         ([1, 0, -3, 1], [5, 1]),
         ([2, -1, 0, 1], [1, 1, 1, 1]),
         ([1, 2, 3, 4, 5], [-1, 0, 2]),
+        # non-monic divisors several degrees shorter: exact division
+        ([1, 2, 0, -1, 0, 3], [5, 0, 2]),
+        ([-4, 1, 1, 0, 0, 0, 7], [3, 2]),
     ],
 )
 def test_resultant_matches_sylvester_and_sympy(pc, qc):
@@ -164,6 +171,10 @@ def test_l_set_known_values():
     assert l_set(3, 2, 1, 1).prime_divisors == (3, 271)
     assert l_set(3, 1, 1, 1).prime_divisors == (3, 271)
     assert l_set(1, 0, 5005, 1).resultant == 1
+    # a long p (degree 10004) against a short q: the PRS divides by a quadratic
+    rec = l_set(1, 0, 5003, 1)
+    assert rec.resultant == 25030009
+    assert rec.prime_divisors == (5003,)
 
 
 # the prime divisors of the l_set inputs the benchmark factors
