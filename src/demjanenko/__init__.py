@@ -21,6 +21,7 @@ from .matrix import (
     dump_matrix,
     exact_rank,
     half_plane_set,
+    hodge_rank,
     rank_formula_value,
     stabilizer,
 )
@@ -51,7 +52,7 @@ __all__ = [
     "IntPolynomial", "ResultantRecord", "compose_neg_quadratic",
     "cyclotomic_poly", "l_set", "resultant",
     "DemjanenkoMatrix", "build_matrix", "dump_matrix", "exact_rank",
-    "half_plane_set", "rank_formula_value", "stabilizer",
+    "half_plane_set", "hodge_rank", "rank_formula_value", "stabilizer",
     "LbmRow", "LsRecord", "SearchConfig", "census", "corollary712_search",
     "density_census", "find_ls", "lbm_scan",
     "CriterionEvidence", "KSetReport", "MStat", "criterion", "k_set",

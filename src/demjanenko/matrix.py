@@ -4,24 +4,38 @@ A matrix is stored as its coset representatives; its square array of
 signs (+1 where the half-plane indicator at -c^{-1}a is 0, -1 where it
 is 1) is built only on demand. Scaling the rational entries
 (1/2 - indicator) by 2 preserves the rank.
+
+The rank needs no matrix. Up to row and column signs it is the group
+matrix over (Z/ell)^*/(+-W) of an odd sign function, with eigenvalues
+lambda_chi over the odd characters chi trivial on W. As [<ka> + <a> >=
+ell] = {ka/ell} + {a/ell} - {(k+1)a/ell}, lambda_chi is a nonzero
+multiple of (conj chi(k) + 1 - conj chi(k+1)) B_{1,chi}, and B_{1,chi}
+!= 0 for odd chi (Washington, Introduction to Cyclotomic Fields, ch. 4).
+So lambda_chi = 0 iff chi(k+1) is a primitive sixth root of unity and
+chi(k) = chi(k+1)^2, the only solutions of 1 + x = y on the unit circle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .arith import PrimeContext, check_k, check_memory, check_modulus
+from .arith import PrimeContext, check_k, check_memory, check_modulus, mult_order
 from .errors import DimensionTooLarge, NonIntegerRank
 
 
 @dataclass(frozen=True)
 class DemjanenkoMatrix:
-    ell: int
+    ctx: PrimeContext
     k: int
     reps: tuple[int, ...]
+
+    @property
+    def ell(self) -> int:
+        return self.ctx.ell
 
     @property
     def dimension(self) -> int:
@@ -86,7 +100,7 @@ def build_matrix(ctx: PrimeContext, k: int) -> DemjanenkoMatrix:
     reps = np.flatnonzero(half_plane_set(ctx, k))
     for w in stabilizer(ctx, k)[1:]:  # keep the least member of each W-orbit
         reps = reps[reps < w * reps % ell]
-    return DemjanenkoMatrix(ell=ell, k=k, reps=tuple(reps.tolist()))
+    return DemjanenkoMatrix(ctx=ctx, k=k, reps=tuple(reps.tolist()))
 
 
 def rank_mod(matrix: np.ndarray, p: int) -> int:
@@ -115,55 +129,39 @@ def rank_mod(matrix: np.ndarray, p: int) -> int:
     return r
 
 
-def exact_rank(dm: DemjanenkoMatrix, cap: int | None = None) -> int:
-    """Rank of the matrix over the rationals, exact; a `cap` on the
-    dimension, when given, is enforced with DimensionTooLarge.
+def hodge_rank(ctx: PrimeContext, k: int) -> tuple[int, int]:
+    """(dimension, rank) of the matrix of k, exact, from the orders o1 of
+    k and o2 of k+1; no matrix is built, so any odd prime ell is admitted.
 
-    The rank is read from `dm.reps` of a matrix made by `build_matrix`;
-    the signs array is not read. Up to row and column signs the matrix is
-    the group matrix over (Z/ell)^*/(+-W) of the odd, W-invariant sign
-    function, so its eigenvalues are lambda_t = sum_r omega(r)^t over the
-    reps, omega the Teichmueller character and t odd with |W| | t. At a
-    prime above ell, omega(x) = x and lambda_t reduces to the power sum
-    sum_r r^t mod ell. The t with one d = gcd(t, ell-1) are one Galois
-    orbit, as conjugation moves lambda_t to lambda_at for the units a
-    mod ell-1. If every power sum in an orbit vanishes, ell^phi divides
-    the norm of lambda while |lambda| <= dim < ell bounds it below
-    ell^phi, so lambda = 0; otherwise lambda != 0. The rank is the size
-    of the orbits with a nonzero power sum.
-
-    Each orbit stops at its first nonzero power sum. It tries t = d
-    first, which is in the orbit as d is odd and a multiple of |W|, then
-    t = ds over the units s mod (ell-1)/d, so only an orbit of zeros is
-    walked to its end: about (orbits * log ell + defect) * dim products
-    in all. Peak memory is about 32 bytes a rep, on top of the matrix.
+    The characters are chi = omega^t, t mod n = ell-1 with t = |W| mod
+    2|W|. Reduced at a prime above ell, chi(k+1) is a primitive sixth root
+    iff t = j2 o2/6 mod o2 with j2 in {1, 5}, and then chi(k) = chi(k+1)^2
+    iff t = j1 o1/3 mod o1 with k^(j1 o1/3) = (k+1)^(j2 o2/3). Congruences
+    solvable two by two are solvable together, by n / lcm of the t mod n.
     """
-    n, ell, w = dm.dimension, dm.ell, dm.stabilizer_size
-    if cap is not None and n > cap:
-        raise DimensionTooLarge(f"dimension {n} exceeds exact-rank cap {cap}")
-    check_modulus(ell, "the exact rank")
-    check_memory(32 * n, f"the exact rank of a dimension-{n} matrix")
-    reps = np.array(dm.reps, dtype=np.int64)
-    orbits, sizes = np.unique(np.gcd(np.arange(w, ell - 1, 2 * w), ell - 1), return_counts=True)
-    nonzero = [_orbit_nonzero(reps, d, ell) for d in orbits.tolist()]
-    return int(sizes[nonzero].sum())
+    ell, n, w = ctx.ell, ctx.ell - 1, len(stabilizer(ctx, k))
+    dim = n // (2 * w)
+    o1, o2 = mult_order(k, ctx).order, mult_order(k + 1, ctx).order
+    if o1 % 3 or o2 % 6:
+        return dim, dim
+    cube, z = pow(k, o1 // 3, ell), pow(k + 1, o2 // 6, ell)
+    zeros = 0
+    for j2 in (1, 5):
+        j1 = 1 if cube == pow(z, 2 * j2, ell) else 2
+        system = ((j1 * o1 // 3, o1), (j2 * o2 // 6, o2), (w, 2 * w))
+        if all((a - b) % math.gcd(m, q) == 0 for (a, m), (b, q) in combinations(system, 2)):
+            zeros += n // math.lcm(o1, o2, 2 * w)
+    return dim, dim - zeros
 
 
-def _orbit_nonzero(reps: np.ndarray, d: int, ell: int) -> bool:
-    """Whether some power sum sum_r r^t mod ell with gcd(t, ell-1) = d is
-    nonzero, trying t = ds for s = 1, 2, ... prime to (ell-1)/d."""
-    base = reps
-    for bit in bin(d)[3:]:  # base = reps^d, by square and multiply
-        base = base * base % ell
-        if bit == "1":
-            base = base * reps % ell
-    m = (ell - 1) // d
-    power = base
-    for s in range(1, m):
-        if math.gcd(s, m) == 1 and power.sum() % ell:
-            return True
-        power = power * base % ell
-    return False
+def exact_rank(dm: DemjanenkoMatrix, cap: int | None = None) -> int:
+    """Rank of the matrix over the rationals, exact: `hodge_rank`'s count
+    of the odd characters trivial on W whose eigenvalue, by the module's
+    argument, is nonzero. A `cap` on the dimension, when given, is
+    enforced with DimensionTooLarge. The signs are not read."""
+    if cap is not None and dm.dimension > cap:
+        raise DimensionTooLarge(f"dimension {dm.dimension} exceeds exact-rank cap {cap}")
+    return hodge_rank(dm.ctx, dm.k)[1]
 
 
 def rank_formula_value(ctx: PrimeContext, k: int, M: int) -> int:

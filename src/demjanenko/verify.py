@@ -12,14 +12,15 @@ rational expansion of the count with its constant term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import PrimeContext, index_table, mult_order
+from .arith import PrimeContext, check_memory, check_modulus, index_table, mult_order
 from .errors import BetaZero, NonIntegerRank
-from .matrix import build_matrix, exact_rank, rank_formula_value
+from .matrix import DemjanenkoMatrix, build_matrix, rank_formula_value
 from .search import odd_primes, ordered_map, prime_contexts
 from .singular import a0_closed_form, criterion, k_set, m_value
 
@@ -34,16 +35,61 @@ def _per_prime(check, max_ell: int, workers: int) -> list[str]:
         return [msg for chunk in chunks for msg in chunk]
 
 
+def power_sum_rank(dm: DemjanenkoMatrix) -> int:
+    """Rank of the matrix over the rationals, exact, from power sums over
+    its reps: the oracle of `matrix.hodge_rank`, sharing no arithmetic.
+
+    Up to row and column signs the matrix is the group matrix over
+    (Z/ell)^*/(+-W) of the odd, W-invariant sign function, so its
+    eigenvalues are lambda_t = sum_r omega(r)^t over the reps, omega the
+    Teichmueller character and t odd with |W| | t. At a prime above ell,
+    omega(x) = x and lambda_t reduces to the power sum sum_r r^t mod ell.
+    The t with one d = gcd(t, ell-1) are one Galois orbit, as conjugation
+    moves lambda_t to lambda_at for the units a mod ell-1. If every power
+    sum in an orbit vanishes, ell^phi divides the norm of lambda while
+    |lambda| <= dim < ell bounds it below ell^phi, so lambda = 0;
+    otherwise lambda != 0. The rank is the size of the orbits with a
+    nonzero power sum.
+
+    Each orbit stops at its first nonzero power sum, trying t = d (odd, a
+    multiple of |W|) first. Peak memory is about 32 bytes a rep.
+    """
+    n, ell, w = dm.dimension, dm.ell, dm.stabilizer_size
+    check_modulus(ell, "the power-sum rank")
+    check_memory(32 * n, f"the power-sum rank of a dimension-{n} matrix")
+    reps = np.array(dm.reps, dtype=np.int64)
+    orbits, sizes = np.unique(np.gcd(np.arange(w, ell - 1, 2 * w), ell - 1), return_counts=True)
+    nonzero = [_orbit_nonzero(reps, d, ell) for d in orbits.tolist()]
+    return int(sizes[nonzero].sum())
+
+
+def _orbit_nonzero(reps: np.ndarray, d: int, ell: int) -> bool:
+    """Whether some power sum sum_r r^t mod ell with gcd(t, ell-1) = d is
+    nonzero, trying t = ds for s = 1, 2, ... prime to (ell-1)/d."""
+    base = reps
+    for bit in bin(d)[3:]:  # base = reps^d, by square and multiply
+        base = base * base % ell
+        if bit == "1":
+            base = base * reps % ell
+    m = (ell - 1) // d
+    power = base
+    for s in range(1, m):
+        if math.gcd(s, m) == 1 and power.sum() % ell:
+            return True
+        power = power * base % ell
+    return False
+
+
 def k_set_oracle(ctx: PrimeContext) -> list[int]:
     """Independent route: k is in the set iff the matrix rank is deficient.
 
-    Singularity comes from `exact_rank`'s power sums over the half-plane
-    reps, which never consult the order criterion.
+    Singularity comes from `power_sum_rank` over the half-plane reps,
+    which never consults the order criterion.
     """
     out = []
     for k in range(1, ctx.ell - 1):
         dm = build_matrix(ctx, k)
-        if exact_rank(dm) < dm.dimension:
+        if power_sum_rank(dm) < dm.dimension:
             out.append(k)
     return out
 
@@ -74,7 +120,7 @@ def verify_character_identities(ctx: PrimeContext) -> list[str]:
     root g; S_d(u) is their sum: d where d | ind(u), as each term is 1,
     else 0. Both are checked mod ell at every u: at the prime above ell
     where zeta_n = g, chi_c(u) reduces to g^(c ind(u) n/d) = u^(c n/d), the
-    Teichmueller reduction of `exact_rank`, summed term by term (so a wrong
+    Teichmueller reduction of `power_sum_rank`, summed term by term (so a wrong
     log fails). The 0 lifts: conjugation multiplies ind(u) by a unit mod d,
     so the sweep over all u puts S_d(u) in every prime above ell, hence in
     ell Z[zeta_d]; with |S_d| <= d < ell on every conjugate, the norm of
@@ -237,8 +283,7 @@ def identities_suite(max_ell: int = 200, workers: int = 1) -> list[str]:
 def _rankformula_one(ctx: PrimeContext) -> list[str]:
     out = []
     for k in k_set(ctx).members:
-        dm = build_matrix(ctx, k)
-        rank = exact_rank(dm)
+        rank = power_sum_rank(build_matrix(ctx, k))
         try:
             expected = rank_formula_value(ctx, k, m_value(ctx, k).M)
         except NonIntegerRank as exc:
@@ -250,5 +295,5 @@ def _rankformula_one(ctx: PrimeContext) -> list[str]:
 
 
 def rankformula_suite(max_ell: int = 500, workers: int = 1) -> list[str]:
-    """Exact matrix rank against the lcm-defect formula, singular k only."""
+    """Power-sum matrix rank against the lcm-defect formula, singular k only."""
     return _per_prime(_rankformula_one, max_ell, workers)

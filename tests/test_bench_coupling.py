@@ -8,11 +8,13 @@ deletion or change of signature would otherwise surface only in a
 benchmark run. The tracer must also see the walk inside the emptiness
 decision, or the bench's `walk_route` metric reads 0.
 
-Three names stay in the library only for the bench: `exact_rank`'s
-`cap` parameter and the `DimensionTooLarge` it raises (the bench calls
-`exact_rank(dm, cap)`), and `matrix.rank_mod` (a `TRACED` entry and five
-bench metrics). No library or CLI code calls them; they go when the
-bench stops binding them.
+Four names stay in the library only for the bench: `exact_rank`, which
+the bench's `rank` workload times and traces and which now only hands
+the matrix's context and k to `hodge_rank` (the CLI calls `hodge_rank`
+itself); its `cap` parameter and the `DimensionTooLarge` it raises (the
+bench calls `exact_rank(dm, cap)`); and `matrix.rank_mod` (a `TRACED`
+entry and five bench metrics). No library or CLI code calls them; they
+go when the bench stops binding them.
 """
 
 import ast

@@ -6,6 +6,7 @@ import time
 
 import jsonschema
 import pytest
+import sympy
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,15 +114,11 @@ def test_kset_rationals_never_floats():
         pytest.param(
             ["lset", "--a", "3", "--b", "2", "--d", "7", "--e", "7"], id="lset-rho-cap"
         ),
-        # a build past the 512 MiB machine below; a sign matrix past it;
-        # both past physical memory; ell >= 2^31, past int64 products
+        # a sign matrix past the 512 MiB machine below; ell >= 2^31,
+        # past int64 products
         *(
-            pytest.param([cmd, "--ell", ell, "--k", "2"], id=f"{cmd}-ell-{ell}")
-            for cmd, ell in (
-                ("rank", "16777259"),
-                ("matrix", "1000003"),
-                *((c, e) for c in ("rank", "matrix") for e in ("2147483647", "2147483659")),
-            )
+            pytest.param(["matrix", "--ell", ell, "--k", "2"], id=f"matrix-ell-{ell}")
+            for ell in ("1000003", "2147483647", "2147483659")
         ),
     ],
 )
@@ -339,10 +336,32 @@ def test_rank_past_the_old_cap():
     assert "dim=500001 rank=500001 singular=False" in res.output
 
 
-def test_rank_refuses_past_physical_memory(monkeypatch):
+@pytest.mark.parametrize(
+    "ell, k, dim, rank",
+    [
+        pytest.param(*case, id=f"ell-{case[0]}")
+        for case in (
+            (3, 1, 1, 1),  # k^2+k+1 = 0 mod 3, but W = {1}
+            # refused before the rank came from two orders: past the 512 MiB
+            # machine below, and ell >= 2^31, past int64 products
+            (16777259, 2, 8388629, 8388629),
+            (2147483647, 2, 1073741823, 1073741823),
+            (2147483659, 2, 1073741829, 1073741829),
+            (1099511627791, 2, 549755813895, 549755813893),
+        )
+    ],
+)
+def test_rank_answers_without_building_the_matrix(ell, k, dim, rank, monkeypatch):
+    monkeypatch.setattr(arith, "PHYSICAL_MEMORY", 1 << 29)
+    res = runner.invoke(main, ["rank", "--ell", str(ell), "--k", str(k)])
+    assert res.exit_code == 0
+    assert res.output == f"ell={ell} k={k} dim={dim} rank={rank} singular={rank < dim}\n"
+
+
+def test_matrix_refuses_past_physical_memory(monkeypatch):
     # the build of ell = 67 needs 32 * 67 bytes
     monkeypatch.setattr(arith, "PHYSICAL_MEMORY", 32 * 67 - 1)
-    res = runner.invoke(main, ["rank", "--ell", "67", "--k", "6"])
+    res = runner.invoke(main, ["matrix", "--ell", "67", "--k", "6"])
     assert res.exit_code == 2
     assert res.output.startswith("error: ") and "physical memory" in res.output
 
@@ -395,6 +414,15 @@ _FUZZ_COMMANDS = st.one_of(
     st.tuples(
         st.sampled_from(["rank", "matrix"]), st.integers(-10, 5000), st.integers(-3, 5000)
     ).map(lambda a: [a[0], "--ell", str(a[1]), "--k", str(a[2])]),
+    # rank builds no matrix, so it answers at any prime: draw primes and
+    # composites up to 2^40
+    st.tuples(
+        st.one_of(
+            st.integers(3, 1 << 40).map(lambda n: int(sympy.nextprime(n))),
+            st.integers(-10, 1 << 40),
+        ),
+        st.integers(-3, 1 << 40),
+    ).map(lambda a: ["rank", "--ell", str(a[0]), "--k", str(a[1])]),
     st.integers(-10, 5000).map(lambda ell: ["mstats", "--ell", str(ell)]),
     st.integers(-10, 3000).map(lambda x: ["density", "--x", str(x)]),
     # a = 5 and 6 spend seconds before rho's cap (lset --a 5 --b 3 about

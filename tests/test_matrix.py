@@ -23,11 +23,14 @@ from demjanenko.matrix import (
     dump_matrix,
     exact_rank,
     half_plane_set,
+    hodge_rank,
     rank_formula_value,
     rank_mod,
     stabilizer,
 )
-from demjanenko.singular import k_set, m_value
+from demjanenko.search import odd_primes, prime_contexts
+from demjanenko.singular import k_set, k_witness, m_value
+from demjanenko.verify import power_sum_rank
 
 
 def _frac(j, ell):
@@ -124,7 +127,7 @@ def _old_build(ctx, k) -> DemjanenkoMatrix:
             continue
         seen |= {w * j % ell for w in elements}
         reps.append(j)
-    return DemjanenkoMatrix(ell=ell, k=k, reps=tuple(reps))
+    return DemjanenkoMatrix(ctx=ctx, k=k, reps=tuple(reps))
 
 
 def test_build_matrix_matches_old_construction():
@@ -280,10 +283,10 @@ def test_signs_and_rank_refuse_past_physical_memory(monkeypatch):
     with pytest.raises(CapExceeded):
         dm.signs
     monkeypatch.setattr(arith, "PHYSICAL_MEMORY", 32 * 33)
-    assert exact_rank(dm) == 31
+    assert power_sum_rank(dm) == 31
     monkeypatch.setattr(arith, "PHYSICAL_MEMORY", 32 * 33 - 1)
     with pytest.raises(CapExceeded):
-        exact_rank(dm)
+        power_sum_rank(dm)
 
 
 def test_matrix_refuses_ell_past_int64_products(monkeypatch):
@@ -293,11 +296,11 @@ def test_matrix_refuses_ell_past_int64_products(monkeypatch):
     ctx = make_context(2147483659)
     with pytest.raises(RangeExceeded):
         build_matrix(ctx, 2)
-    by_hand = DemjanenkoMatrix(ell=ctx.ell, k=2, reps=(1,))
+    by_hand = DemjanenkoMatrix(ctx=ctx, k=2, reps=(1,))
     with pytest.raises(RangeExceeded):
         by_hand.signs
     with pytest.raises(RangeExceeded):
-        exact_rank(by_hand)
+        power_sum_rank(by_hand)
 
 
 def test_dump_matrix_format():
@@ -309,6 +312,68 @@ def test_dump_matrix_format():
     assert len(lines) == 3
     assert all(set(row) <= {"+", "-"} for row in lines[1:])
     assert all(len(row) == 2 for row in lines[1:])
+
+
+def test_hodge_rank_matches_power_sums_on_every_k_up_to_400():
+    checked = 0
+    for ctx in prime_contexts(odd_primes(400)):
+        for k in range(1, ctx.ell - 1):
+            dm = build_matrix(ctx, k)
+            assert hodge_rank(ctx, k) == (dm.dimension, power_sum_rank(dm)), (ctx.ell, k)
+            checked += 1
+    assert checked == 13731
+
+
+def test_hodge_rank_matches_power_sums_on_singular_k_up_to_3000():
+    checked = 0
+    for ctx in prime_contexts(odd_primes(3000)):
+        for k in k_set(ctx).members:
+            dm = build_matrix(ctx, k)
+            dim, rank = hodge_rank(ctx, k)
+            assert (dim, rank) == (dm.dimension, power_sum_rank(dm)) and rank < dim, (ctx.ell, k)
+            checked += 1
+    assert checked == 9612
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 13])
+def test_hodge_rank_on_every_k_of_small_primes(ell):
+    # |W| comes from the stabilizer: at ell = 3, k = 1 solves k^2+k+1 = 0
+    # but W = {1}, so the dimension is 1, not 1/3
+    ctx = make_context(ell)
+    cube_roots = 0
+    for k in range(1, ell - 1):
+        dm = build_matrix(ctx, k)
+        expected = (dm.dimension, certified_rank(dm.signs))
+        assert hodge_rank(ctx, k) == expected == (dm.dimension, power_sum_rank(dm)), (ell, k)
+        cube_roots += len(stabilizer(ctx, k)) == 3
+    assert cube_roots == (2 if ell % 3 == 1 else 0)
+
+
+def test_hodge_rank_meets_rank_formula_on_every_singular_k_up_to_16000():
+    # 16000 keeps it at 5-7 s; up to 20000 (349260 k) it took 8-11 s
+    checked = 0
+    for ctx in prime_contexts(odd_primes(16_000)):
+        for k in k_set(ctx).members:
+            dim, rank = hodge_rank(ctx, k)
+            assert rank == rank_formula_value(ctx, k, m_value(ctx, k).M) < dim, (ctx.ell, k)
+            checked += 1
+    assert checked == 231144
+
+
+def test_hodge_rank_meets_rank_formula_past_2_31():
+    # build_matrix refuses these ell (RangeExceeded); the count needs none
+    rng = random.Random(26)
+    checked = 0
+    while checked < 5:
+        ctx = make_context(int(sympy.nextprime(rng.randrange(1 << 31, 1 << 40))))
+        k = k_witness(ctx.ell, ctx.factors)
+        if k is None:
+            continue
+        dim, rank = hodge_rank(ctx, k)
+        assert rank == rank_formula_value(ctx, k, m_value(ctx, k).M) < dim, (ctx.ell, k)
+        with pytest.raises(RangeExceeded):
+            build_matrix(ctx, k)
+        checked += 1
 
 
 def test_exact_rank_matches_fraction_oracle():
